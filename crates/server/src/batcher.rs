@@ -3,8 +3,9 @@
 //! per-shard scan passes, with a gather cell per request that assembles
 //! the reply once every shard has delivered its partial.
 //!
-//! Connection threads admit each `Knn` request once (a [`Gather`] cell
-//! holding the request and its reply completion), scatter one handle to
+//! Connection threads admit each `Knn` request once (a
+//! [`Gather`](crate::gather::Gather) cell
+//! holding the request and its reply sink), scatter one handle to
 //! every shard's [`Batcher`], and go straight back to reading their
 //! sockets. Every shard dispatcher runs the same collection policy, from
 //! the first queued request: wait for more **only while the batch is
@@ -24,7 +25,7 @@
 //!
 //! Shards batch **independently** — shard 0 may serve requests {A, B}
 //! in one pass while shard 1 serves A and B in two — and the reply is
-//! still exact: a [`ShardPartial`] is the shard's k-best for its request
+//! still exact: a [`ShardPartial`](fbp_vecdb::ShardPartial) is the shard's k-best for its request
 //! in key space regardless of batch-mates, and the gather merges
 //! partials by the deterministic `(key, index)` order
 //! ([`ShardedBypass::gather`](feedbackbypass::ShardedBypass::gather)).
@@ -39,171 +40,9 @@
 //! cut short by shutdown is completed with an error by the enqueuing
 //! thread, so every admitted request resolves exactly once.
 
-use crate::metrics::Metrics;
-use crate::protocol::ShardSpan;
-use crate::trace::RequestTrace;
-use fbp_vecdb::{
-    merge_partials, Neighbor, PartitionedCollection, ScanMode, ShardPartial, ShardedCollection,
-    ShardedScan, WeightedEuclidean,
-};
-use feedbackbypass::{KnnRequest, ShardedBypass};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Completion callback of one gathered request: invoked exactly once
-/// with the merged neighbors (or the first shard error) by whichever
-/// shard dispatcher delivered the last partial. It finishes the reply —
-/// session bookkeeping, encoding, the socket write — right on that
-/// dispatcher thread; the connection thread meanwhile just stays parked
-/// in its next read.
-pub(crate) type KnnCompletion = Box<dyn FnOnce(Result<Vec<Neighbor>, String>) + Send>;
-
-/// Per-request gather cell: the request (read-only, shared by every
-/// shard's pass), one partial slot per shard, and the reply completion.
-pub(crate) struct Gather {
-    /// The serving request (point, weights, per-request k).
-    pub req: KnnRequest,
-    /// The request's resolved result count (clamped at admission).
-    pub k: usize,
-    /// The request's metric, built **once at admission** and shared by
-    /// every shard pass and the final merge — the per-shard dispatch
-    /// no longer rebuilds it per pass.
-    pub metric: WeightedEuclidean,
-    /// Cross-shard pruning seed: the tightest known upper bound on this
-    /// request's global k-th key (f64 bits, starts at `+∞`), tightened
-    /// from every delivered partial's [`ShardPartial::bound_key`]. A
-    /// shard pass that runs *after* another shard finished prunes
-    /// against a near-global bound instead of its looser local one —
-    /// on a host where shard passes serialize this recovers most of
-    /// the flat pass's early-abandon power, and it can never change
-    /// the merged answer (the bound is provably ≥ the global k-th).
-    seed: AtomicU64,
-    /// Span collector for a traced request (`None` on the untraced hot
-    /// path — dispatchers pay one branch per stage). The trace can
-    /// never change the merged answer: it only observes timestamps.
-    pub trace: Option<Arc<RequestTrace>>,
-    state: Mutex<GatherState>,
-}
-
-struct GatherState {
-    /// Delivered partials by shard index (`None` for errored shards).
-    partials: Vec<Option<ShardPartial>>,
-    /// Per-shard delivery marker (a shard delivers exactly once; the
-    /// marker makes duplicate deliveries harmless instead of fatal).
-    delivered: Vec<bool>,
-    /// First shard error, if any (the reply becomes this error).
-    error: Option<String>,
-    /// Shards still outstanding.
-    remaining: usize,
-    /// Taken by the completing delivery.
-    reply: Option<KnnCompletion>,
-}
-
-impl Gather {
-    /// New cell awaiting `shards` partials.
-    pub(crate) fn new(
-        req: KnnRequest,
-        metric: WeightedEuclidean,
-        k: usize,
-        shards: usize,
-        trace: Option<Arc<RequestTrace>>,
-        reply: KnnCompletion,
-    ) -> Arc<Self> {
-        Arc::new(Gather {
-            req,
-            k,
-            metric,
-            seed: AtomicU64::new(f64::INFINITY.to_bits()),
-            trace,
-            state: Mutex::new(GatherState {
-                partials: (0..shards).map(|_| None).collect(),
-                delivered: vec![false; shards],
-                error: None,
-                remaining: shards,
-                reply: Some(reply),
-            }),
-        })
-    }
-
-    /// The current pruning seed for this request (`+∞` until some
-    /// shard delivered a full k-best).
-    pub(crate) fn seed(&self) -> f64 {
-        f64::from_bits(self.seed.load(Ordering::Relaxed))
-    }
-
-    /// Tighten the seed to `min(current, bound)` (lock-free; seeds only
-    /// ever decrease).
-    fn offer_seed(&self, bound: f64) {
-        let mut cur = self.seed.load(Ordering::Relaxed);
-        while bound < f64::from_bits(cur) {
-            match self.seed.compare_exchange_weak(
-                cur,
-                bound.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Deliver shard `shard`'s outcome. The delivery that brings
-    /// `remaining` to zero merges the partials (outside the cell's lock)
-    /// and fires the reply; every other delivery just records and
-    /// returns. Duplicate deliveries for one shard are a logic error
-    /// upstream and are ignored defensively.
-    pub(crate) fn complete_shard(&self, shard: usize, outcome: Result<ShardPartial, String>) {
-        if let Ok(partial) = &outcome {
-            if let Some(bound) = partial.bound_key(self.k) {
-                self.offer_seed(bound);
-            }
-        }
-        let fire = {
-            let mut g = self.state.lock().expect("gather lock");
-            if g.delivered[shard] {
-                return; // duplicate delivery; first one counted
-            }
-            g.delivered[shard] = true;
-            match outcome {
-                Ok(partial) => g.partials[shard] = Some(partial),
-                Err(e) => {
-                    if g.error.is_none() {
-                        g.error = Some(e);
-                    }
-                }
-            }
-            g.remaining -= 1;
-            if g.remaining == 0 {
-                g.reply
-                    .take()
-                    .map(|reply| (reply, g.error.take(), std::mem::take(&mut g.partials)))
-            } else {
-                None
-            }
-        };
-        if let Some((reply, error, partials)) = fire {
-            // The last slot just resolved: everything from here (merge,
-            // session bookkeeping, reply encode + write) is merge time.
-            if let Some(trace) = &self.trace {
-                trace.note_gathered();
-            }
-            let outcome = match error {
-                Some(e) => Err(e),
-                // The merge reuses the admission-built metric — no
-                // per-reply metric reconstruction.
-                None => Ok(merge_partials(
-                    partials.iter().flatten(),
-                    self.k,
-                    &self.metric,
-                )),
-            };
-            reply(outcome);
-        }
-    }
-}
 
 /// Why an enqueue was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,7 +58,7 @@ struct Inner<T> {
 
 /// Bounded-by-admission queue + wakeup plumbing shared by connection
 /// threads and one shard's dispatcher. Capacity is enforced at the
-/// *admission* layer (`Shared::inflight` in the server), not here: every
+/// *admission* layer (the front-end's in-flight bound), not here: every
 /// admitted request lands once in every shard's queue, so a per-queue
 /// bound would either double-count the global bound or leave a request
 /// half-scattered on overflow.
@@ -328,90 +167,6 @@ impl<T> Batcher<T> {
     }
 }
 
-/// One shard's dispatcher loop: drain batches from this shard's queue,
-/// run each as one per-shard scan pass, deliver every request's partial
-/// to its gather cell (the last shard to deliver fires the merged
-/// reply). Runs until the batcher shuts down and empties.
-pub(crate) fn run_shard_dispatcher(
-    shard: usize,
-    batcher: Arc<Batcher<Arc<Gather>>>,
-    coll: Arc<ShardedCollection>,
-    partitions: Option<Arc<Vec<PartitionedCollection>>>,
-    bypass: ShardedBypass,
-    scan_mode: ScanMode,
-    metrics: Arc<Metrics>,
-) {
-    let log_timing = std::env::var("FBP_SERVE_TRACE").is_ok();
-    let (mut t_scan, mut t_complete, mut t_idle, mut n_req) = (0u128, 0u128, 0u128, 0u64);
-    let mut last_done = Instant::now();
-    while let Some(batch) = batcher.next_batch() {
-        let dispatched = Instant::now();
-        t_idle += dispatched.duration_since(last_done).as_nanos();
-        let waits: Vec<Duration> = batch
-            .iter()
-            .map(|(enqueued, _)| dispatched.saturating_duration_since(*enqueued))
-            .collect();
-        let gathers: Vec<Arc<Gather>> = batch.into_iter().map(|(_, g)| g).collect();
-        // Each request's point, metric, and k were resolved once at
-        // admission; the pass borrows them instead of rebuilding the
-        // metric per shard dispatch.
-        let points: Vec<&[f64]> = gathers.iter().map(|g| g.req.point.as_slice()).collect();
-        let pass_metrics: Vec<&WeightedEuclidean> = gathers.iter().map(|g| &g.metric).collect();
-        let ks: Vec<usize> = gathers.iter().map(|g| g.k).collect();
-        // Cross-shard bound propagation: requests whose gathers already
-        // hold another shard's k-th key prune against it from row one.
-        let seeds: Vec<f64> = gathers.iter().map(|g| g.seed()).collect();
-        // The scan is rebuilt per pass (it is a couple of words); the
-        // scan_shard precision rule upgrades it to the f32 mirrors
-        // whenever every shard carries one, and the per-shard thread
-        // budget is an even share of the machine so S concurrent shard
-        // dispatchers cannot oversubscribe the host.
-        let scan = ShardedScan::with_mode(&coll, scan_mode).with_scan_stats(metrics.scan_stats());
-        // Partition layouts (when the server opted in) redirect every
-        // shard pass through the pruning scan; the delivered partials —
-        // and therefore the gathered replies — are bit-identical.
-        let scan = match &partitions {
-            Some(parts) => scan.with_partitions(parts),
-            None => scan,
-        };
-        let partials =
-            bypass.scan_shard_prepared(&scan, shard, &points, &pass_metrics, &ks, Some(&seeds));
-        let scanned = Instant::now();
-        t_scan += scanned.duration_since(dispatched).as_nanos();
-        n_req += waits.len() as u64;
-        metrics.record_pass(&waits);
-        // Traced requests get their span stamped *before* delivery, so
-        // the delivery that completes the gather already sees it.
-        let fill = gathers.len() as u32;
-        for gather in &gathers {
-            if let Some(trace) = &gather.trace {
-                trace.add_span(ShardSpan {
-                    shard: shard as u32,
-                    queue_ns: dispatched.saturating_duration_since(trace.t0()).as_nanos() as u64,
-                    busy_ns: scanned.saturating_duration_since(dispatched).as_nanos() as u64,
-                    batch_fill: fill,
-                    flags: 0,
-                });
-            }
-        }
-        for (gather, partial) in gathers.iter().zip(partials) {
-            gather.complete_shard(shard, Ok(partial));
-        }
-        t_complete += scanned.elapsed().as_nanos();
-        last_done = Instant::now();
-    }
-    if log_timing && n_req > 0 {
-        eprintln!(
-            "[dispatcher shard {}] {} req: scan {:.0}us/req, complete {:.0}us/req, idle {:.1}ms total",
-            shard,
-            n_req,
-            t_scan as f64 / 1000.0 / n_req as f64,
-            t_complete as f64 / 1000.0 / n_req as f64,
-            t_idle as f64 / 1e6,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,90 +206,5 @@ mod tests {
         assert_eq!(b.enqueue(8), Err(EnqueueError::ShuttingDown));
         assert_eq!(b.next_batch().unwrap().len(), 1);
         assert!(b.next_batch().is_none());
-    }
-
-    #[test]
-    fn gather_fires_once_after_all_shards_any_order() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let fired = Arc::new(AtomicUsize::new(0));
-        let got = Arc::new(Mutex::new(None));
-        let req = KnnRequest::uniform(vec![0.0, 0.0]);
-        let req_metric = req.metric(2).unwrap();
-        let gather = Gather::new(
-            req,
-            req_metric,
-            5,
-            3,
-            None,
-            Box::new({
-                let fired = Arc::clone(&fired);
-                let got = Arc::clone(&got);
-                move |outcome| {
-                    fired.fetch_add(1, Ordering::SeqCst);
-                    *got.lock().unwrap() = Some(outcome);
-                }
-            }),
-        );
-        // Build real partials through the public scatter API.
-        let mut b = fbp_vecdb::CollectionBuilder::new();
-        for i in 0..6 {
-            b.push_unlabelled(&[i as f64, 0.0]).unwrap();
-        }
-        let sc = ShardedCollection::split(&b.build(), 3);
-        let scan = ShardedScan::with_mode(&sc, ScanMode::Batched);
-        let metric = fbp_vecdb::WeightedEuclidean::uniform(2);
-        let q: &[f64] = &[0.0, 0.0];
-        let parts: Vec<ShardPartial> = (0..3)
-            .map(|s| {
-                scan.scan_shard_weighted(s, &[q], std::slice::from_ref(&metric), &[5], None)
-                    .remove(0)
-            })
-            .collect();
-        // Out-of-order delivery; the reply fires exactly once, on the
-        // last shard.
-        gather.complete_shard(2, Ok(parts[2].clone()));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        gather.complete_shard(0, Ok(parts[0].clone()));
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-        gather.complete_shard(1, Ok(parts[1].clone()));
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        let merged = got.lock().unwrap().take().unwrap().unwrap();
-        assert_eq!(merged.len(), 5);
-        assert_eq!(merged[0].index, 0);
-        assert!(merged.windows(2).all(|w| w[0].dist <= w[1].dist));
-    }
-
-    #[test]
-    fn gather_propagates_shard_errors() {
-        let got = Arc::new(Mutex::new(None));
-        let req = KnnRequest::uniform(vec![0.0]);
-        let req_metric = req.metric(1).unwrap();
-        let gather = Gather::new(
-            req,
-            req_metric,
-            5,
-            2,
-            None,
-            Box::new({
-                let got = Arc::clone(&got);
-                move |outcome| *got.lock().unwrap() = Some(outcome)
-            }),
-        );
-        let mut b = fbp_vecdb::CollectionBuilder::new();
-        b.push_unlabelled(&[0.5]).unwrap();
-        let sc = ShardedCollection::split(&b.build(), 2);
-        let scan = ShardedScan::with_mode(&sc, ScanMode::Batched);
-        let metric = fbp_vecdb::WeightedEuclidean::uniform(1);
-        let q: &[f64] = &[0.0];
-        let part = scan
-            .scan_shard_weighted(0, &[q], std::slice::from_ref(&metric), &[5], None)
-            .remove(0);
-        gather.complete_shard(0, Ok(part));
-        gather.complete_shard(1, Err("pass failed".into()));
-        let outcome = got.lock().unwrap().take().unwrap();
-        match outcome {
-            Err(msg) => assert_eq!(msg, "pass failed"),
-            Ok(_) => panic!("expected the shard error to win"),
-        }
     }
 }

@@ -21,55 +21,52 @@
 //! load batches fill instantly — batch fill adapts to the offered
 //! concurrency with no other tuning.
 //!
-//! ## Sharded scatter/gather serving
+//! ## One front-end, local or remote shards behind it
 //!
-//! One coalesced pass is still bounded by what one dispatcher can
-//! stream. [`ServerConfig::shards`] splits the served collection into
-//! `S` contiguous row shards at startup and gives **each shard its own
-//! micro-batcher and dispatcher thread** under the same batching
-//! policy. Every `Knn` request is admitted once, scattered to all `S`
-//! queues, served by `S` independent per-shard passes
-//! ([`ShardedBypass::scan_shard`](feedbackbypass::ShardedBypass)), and
-//! its reply is gathered — the per-shard k-bests merge in key space
-//! with a deterministic `(key, index)` order, so the answer is
-//! **bit-identical** to flat serving no matter how each shard happened
-//! to batch. On a multi-core host the scan bandwidth of the serving
-//! loop scales with `S`; see `ARCHITECTURE.md` at the repository root
-//! for the measured sweep and the invariant argument.
+//! [`serve`] and [`route`] start the same front-end: one accept loop,
+//! one read→decode→reply path per connection, and one session tier
+//! (module prediction, feedback transitions, commits). Every admitted
+//! `Knn` becomes one gather cell scattered to `S` shard slots; the
+//! per-shard k-bests merge in key space with a deterministic
+//! `(key, index)` order, so the answer is **bit-identical** to flat
+//! serving however the shards happened to batch. Only the shards
+//! behind the front-end differ:
 //!
-//! ## Router tier
+//! * **Local shards** ([`serve`]): [`ServerConfig::shards`] splits the
+//!   served collection into `S` contiguous row shards at startup, each
+//!   with **its own micro-batcher and dispatcher thread** under the
+//!   same batching policy. On a multi-core host the scan bandwidth of
+//!   the serving loop scales with `S`; see `ARCHITECTURE.md` at the
+//!   repository root for the measured sweep and the invariant argument.
+//! * **Remote shards** ([`route`]): each shard slot is a remote shard
+//!   server answering one `ShardKnn` frame. Because downstreams can
+//!   fail independently, this backend adds the robustness layer local
+//!   sharding never needed: per-downstream connection pools with
+//!   connect/read/write timeouts, exponential backoff, and automatic
+//!   reconnect; hedged retries that duplicate a straggling shard's call
+//!   after a p99-derived delay (first answer wins); and an explicit
+//!   [`FailurePolicy`] deciding what a reply may claim when shards stay
+//!   silent — `Strict` refuses with a typed
+//!   [`ErrorCode::ShardUnavailable`], `Degraded` answers from the
+//!   surviving subset with the reply flagged and the missing shards
+//!   named. Either way a request resolves within the shard-timeout
+//!   budget: the policy bounds *what* is answered, the deadline bounds
+//!   *when*. A scripted [`FaultPlan`] injects downstream faults
+//!   deterministically for tests and smoke drills. See
+//!   `ARCHITECTURE.md`, "router tier", for the full partial-failure
+//!   policy.
 //!
-//! [`route`] runs the same scatter/gather across **machines**: a router
-//! front-end owns the session tier (module prediction, feedback
-//! transitions, commits) and scatters each admitted `Knn` as one
-//! `ShardKnn` frame per remote shard server, gathering the per-shard
-//! k-bests with the identical key-space merge — bit-identical to
-//! in-process `shards = S` serving while every shard answers. Because
-//! downstreams can now fail independently, the router adds the
-//! robustness layer sharding alone never needed: per-downstream
-//! connection pools with connect/read/write timeouts, exponential
-//! backoff, and automatic reconnect; hedged retries that duplicate a
-//! straggling shard's call after a p99-derived delay (first answer
-//! wins); and an explicit [`FailurePolicy`] deciding what a reply may
-//! claim when shards stay silent — `Strict` refuses with a typed
-//! [`ErrorCode::ShardUnavailable`], `Degraded` answers from the
-//! surviving subset with the reply flagged and the missing shards
-//! named. Either way a request resolves within the shard-timeout
-//! budget: the policy bounds *what* is answered, the deadline bounds
-//! *when*. A scripted [`FaultPlan`] injects downstream faults
-//! deterministically for tests and smoke drills. See `ARCHITECTURE.md`,
-//! "router tier", for the full partial-failure policy.
-//!
-//! On top of the per-call machinery sits per-downstream **health
-//! tracking** ([`HealthConfig`], [`health`]): a circuit breaker ejects
-//! a persistently failing shard from the scatter set so requests stop
-//! paying its `shard_timeout` (`Degraded` merges the survivors
-//! instantly, `Strict` refuses fast), a background prober re-checks
-//! ejected shards at backed-off intervals, and re-admission requires a
-//! run of probe successes plus a tiling re-validation and a fresh
-//! module push. The learned module is also re-replicated to healthy
-//! shards automatically whenever a session commit updates it. Per-shard
-//! health appears in [`StatsSnapshot::health`] and on the wire.
+//! On top of the per-call machinery the remote backend tracks
+//! per-downstream **health** ([`HealthConfig`], [`health`]): a circuit
+//! breaker ejects a persistently failing shard from the scatter set so
+//! requests stop paying its `shard_timeout` (`Degraded` merges the
+//! survivors instantly, `Strict` refuses fast), a background prober
+//! re-checks ejected shards at backed-off intervals, and re-admission
+//! requires a run of probe successes plus a tiling re-validation and a
+//! fresh module push. The learned module is also re-replicated to
+//! healthy shards automatically whenever a session commit updates it.
+//! Per-shard health appears in [`StatsSnapshot::health`] and on the
+//! wire.
 //!
 //! ## Protocol
 //!
@@ -92,16 +89,16 @@
 //!
 //! Protocol **v2** adds an optional `Hello`/`HelloAck` version
 //! handshake and the multi-example `KnnV2` frame (anchor + positive and
-//! negative example sets + Rocchio coefficients), which both front-ends
-//! lower to a plain derived-anchor query before admission — see the
+//! negative example sets + Rocchio coefficients), which the front-end
+//! lowers to a plain derived-anchor query before admission — see the
 //! *Protocol v2* section of [`protocol`]. Connections that skip the
 //! handshake speak v1 byte-for-byte.
 //!
 //! Protocol **v3** adds opt-in **request tracing**: a `KnnV2` frame may
 //! ask for a stage-level timing trailer on its reply (queue wait, scan
 //! or downstream round trip, batch fill, hedge/fast-degrade
-//! attribution per shard, plus the gather/merge split), and both
-//! front-ends keep a bounded ring of recent slow traces drained by
+//! attribution per shard, plus the gather/merge split), and the
+//! front-end keeps a bounded ring of recent slow traces drained by
 //! `GetTraces`. Tracing never changes an answer — a traced reply is
 //! bit-identical to the untraced one apart from the trailer — see the
 //! *Protocol v3* section of [`protocol`] for the normative layout.
@@ -146,6 +143,8 @@
 #![warn(missing_docs)]
 
 mod batcher;
+mod front;
+mod gather;
 mod metrics;
 mod pool;
 mod router;

@@ -36,6 +36,9 @@ pub(crate) struct Metrics {
     passes: AtomicU64,
     /// Protocol errors answered / connections dropped for framing.
     protocol_errors: AtomicU64,
+    /// Replies merged from a subset of the shards (only a router under
+    /// `FailurePolicy::Degraded` ever answers one).
+    degraded_replies: AtomicU64,
     /// Queue-wait distribution in nanoseconds (admission → dispatch).
     waits: LogHistogram,
     /// Scan-path work counters, flushed by every shard pass (the shard
@@ -52,6 +55,7 @@ impl Metrics {
             requests: AtomicU64::new(0),
             passes: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            degraded_replies: AtomicU64::new(0),
             waits: LogHistogram::new(),
             scan: ScanStatsSink::new(),
         }
@@ -81,6 +85,11 @@ impl Metrics {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one reply merged from a subset of the shards.
+    pub(crate) fn record_degraded_reply(&self) {
+        self.degraded_replies.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot everything; `sessions_open` comes from the registry.
     pub(crate) fn snapshot(&self, sessions_open: u64) -> StatsSnapshot {
         let requests = self.requests.load(Ordering::Relaxed);
@@ -105,8 +114,9 @@ impl Metrics {
             scan_candidates_rescored: scan.candidates_rescored,
             scan_seed_prunes: scan.seed_prunes,
             scan_partitions_pruned: scan.partitions_pruned,
-            // Router-tier counters stay zero on a plain shard server;
-            // the router overwrites them from its downstream pools.
+            degraded_replies: self.degraded_replies.load(Ordering::Relaxed),
+            // The downstream counters stay zero on a plain shard server;
+            // the router fills them from its downstream pools.
             ..Default::default()
         }
     }

@@ -37,13 +37,14 @@
 //! path heals while black-hole/delay faults prove the timeout path
 //! bounds.
 
-use crate::faults::{FaultMode, FaultPlan};
-use crate::health::{HealthConfig, HealthTracker};
+use crate::faults::FaultMode;
+use crate::gather::Gather;
+use crate::health::HealthTracker;
 use crate::metrics::DownstreamStats;
 use crate::protocol::{
     read_frame, write_frame, Request, Response, SPAN_FAILED, SPAN_FAST_DEGRADED, SPAN_HEDGE_WON,
 };
-use crate::router::RouterGather;
+use crate::router::RouterConfig;
 use fbp_vecdb::ShardPartial;
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -57,27 +58,9 @@ use std::time::{Duration, Instant};
 /// shutdown-poll granularity of a stalled call.
 const SLICE: Duration = Duration::from_millis(5);
 
-/// Pool tuning shared by every downstream (a subset of the router
-/// config, resolved once at startup).
-#[derive(Debug, Clone)]
-pub(crate) struct PoolConfig {
-    /// Bound on each TCP connect attempt.
-    pub(crate) connect_timeout: Duration,
-    /// SO_RCVTIMEO slice workers park in while awaiting a reply — the
-    /// deadline-poll granularity, not the call budget.
-    pub(crate) read_slice: Duration,
-    /// SO_SNDTIMEO on every request write.
-    pub(crate) write_timeout: Duration,
-    /// First reconnect backoff; doubles per consecutive failure.
-    pub(crate) backoff_base: Duration,
-    /// Backoff clamp.
-    pub(crate) backoff_max: Duration,
-    /// Largest accepted reply frame.
-    pub(crate) max_frame_len: u32,
-    /// Pooled connections (worker threads) per downstream; ≥ 2 lets a
-    /// hedge overtake a stuck primary.
-    pub(crate) workers: usize,
-}
+/// SO_RCVTIMEO slice workers park in while awaiting a reply — the
+/// deadline-poll granularity, not the call budget.
+const READ_SLICE: Duration = Duration::from_millis(5);
 
 /// One worker's connection state across jobs: the pooled connection,
 /// whether it ever connected (reconnect accounting), and the
@@ -93,7 +76,7 @@ pub(crate) struct WorkerState {
 /// One scatter call: deliver `gather`'s slot for this pool's shard.
 pub(crate) struct Job {
     /// The request's gather cell.
-    pub(crate) gather: Arc<RouterGather>,
+    pub(crate) gather: Arc<Gather>,
     /// This is a hedge (duplicate) leg: skip it if the primary already
     /// delivered, and count a win if it beats the primary.
     pub(crate) hedge: bool,
@@ -107,8 +90,9 @@ pub(crate) struct Downstream {
     pub(crate) shard: usize,
     /// The shard server's address.
     pub(crate) addr: SocketAddr,
-    cfg: PoolConfig,
-    faults: Option<Arc<FaultPlan>>,
+    /// The router's knobs: connect/write timeouts, backoff, frame
+    /// limit, pooled connections, scripted faults.
+    cfg: RouterConfig,
     jobs: Mutex<VecDeque<Job>>,
     cv: Condvar,
     shutdown: AtomicBool,
@@ -128,26 +112,34 @@ pub(crate) struct Downstream {
     pub(crate) expected: (u64, u64, u32),
 }
 
+impl WorkerState {
+    /// Give up on the current connection after a failed attempt: the
+    /// failure run grows (the next connect backs off) and one retry is
+    /// counted.
+    fn retry(&mut self, stats: &DownstreamStats) {
+        self.conn = None;
+        self.consecutive_failures += 1;
+        stats.retries.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 impl Downstream {
     pub(crate) fn new(
         shard: usize,
         addr: SocketAddr,
-        cfg: PoolConfig,
-        faults: Option<Arc<FaultPlan>>,
-        health: HealthConfig,
+        cfg: RouterConfig,
         expected: (u64, u64, u32),
     ) -> Arc<Self> {
         Arc::new(Downstream {
             shard,
             addr,
+            health: HealthTracker::new(cfg.health.clone()),
             cfg,
-            faults,
             jobs: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             calls: AtomicU64::new(0),
             stats: Arc::new(DownstreamStats::default()),
-            health: HealthTracker::new(health),
             expected,
         })
     }
@@ -159,7 +151,7 @@ impl Downstream {
     /// call consume a per-shard call index; wire-damage plans keep
     /// their exact scatter indices and control calls stay fault-free.
     pub(crate) fn control_fault(&self) -> Option<FaultMode> {
-        let plan = self.faults.as_ref()?;
+        let plan = self.cfg.faults.as_ref()?;
         if !plan.has_down() {
             return None;
         }
@@ -172,7 +164,7 @@ impl Downstream {
 
     /// Start this downstream's worker threads.
     pub(crate) fn spawn_workers(self: &Arc<Self>) -> Vec<JoinHandle<()>> {
-        (0..self.cfg.workers.max(1))
+        (0..self.cfg.conns_per_downstream.max(1))
             .map(|_| {
                 let ds = Arc::clone(self);
                 std::thread::spawn(move || ds.worker_loop())
@@ -207,6 +199,13 @@ impl Downstream {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Sleep until `until` in shutdown-polling slices (scripted stalls).
+    fn hold_until(&self, until: Instant) {
+        while Instant::now() < until && !self.shutting_down() {
+            std::thread::sleep(SLICE.min(until.saturating_duration_since(Instant::now())));
+        }
+    }
+
     /// Block for the next job; `None` once shut down **and** drained.
     fn next_job(&self) -> Option<Job> {
         let mut q = self.jobs.lock().expect("pool lock");
@@ -233,11 +232,6 @@ impl Downstream {
     /// shutdown. Exactly one `complete_shard` delivery happens unless
     /// another leg (hedge or primary) already resolved the slot.
     fn execute(&self, state: &mut WorkerState, job: &Job) {
-        let WorkerState {
-            conn,
-            connected_before,
-            consecutive_failures,
-        } = state;
         let gather = &job.gather;
         if gather.shard_resolved(self.shard) {
             return; // the other leg already delivered
@@ -257,10 +251,16 @@ impl Downstream {
         let deadline = gather.deadline();
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         let fault = self
+            .cfg
             .faults
             .as_ref()
             .and_then(|p| p.decide(self.shard, call));
         let started = Instant::now();
+        // Deliver this shard's slot as failed, its span first.
+        let fail = |msg: String| {
+            gather.trace_span(self.shard, Some(started), SPAN_FAILED);
+            gather.complete_shard(self.shard, Err(msg));
+        };
 
         if matches!(
             fault,
@@ -270,9 +270,7 @@ impl Downstream {
             // black hole models silence, a `Down` outage a host whose
             // every connect is refused — from this side both are a
             // call that cannot succeed before its deadline.
-            while Instant::now() < deadline && !self.shutting_down() {
-                std::thread::sleep(SLICE.min(deadline.saturating_duration_since(Instant::now())));
-            }
+            self.hold_until(deadline);
             self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             self.health.record_failure(Instant::now());
             let what = if fault == Some(FaultMode::BlackHole) {
@@ -280,24 +278,19 @@ impl Downstream {
             } else {
                 "down: every connect refused until the deadline"
             };
-            gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-            gather.complete_shard(self.shard, Err(format!("shard {} {what}", self.shard)));
+            fail(format!("shard {} {what}", self.shard));
             return;
         }
         if let Some(FaultMode::Delay(d)) = fault {
             // Straggle before sending; the deadline still bounds the
             // call (a delay past it becomes a timeout below).
-            let until = (started + d).min(deadline);
-            while Instant::now() < until && !self.shutting_down() {
-                std::thread::sleep(SLICE.min(until.saturating_duration_since(Instant::now())));
-            }
+            self.hold_until((started + d).min(deadline));
         }
 
         let mut attempt: u64 = 0;
         loop {
             if self.shutting_down() {
-                gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                gather.complete_shard(self.shard, Err("router shutting down".into()));
+                fail("router shutting down".into());
                 return;
             }
             if gather.shard_resolved(self.shard) {
@@ -307,20 +300,19 @@ impl Downstream {
             if now >= deadline {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 self.health.record_failure(now);
-                gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                gather.complete_shard(self.shard, Err(format!("shard {} timed out", self.shard)));
+                fail(format!("shard {} timed out", self.shard));
                 return;
             }
             let remaining = deadline - now;
 
             // (Re)connect with exponential backoff, all bounded by the
             // deadline.
-            if conn.is_none() {
-                if *consecutive_failures > 0 {
+            if state.conn.is_none() {
+                if state.consecutive_failures > 0 {
                     let backoff = self
                         .cfg
                         .backoff_base
-                        .saturating_mul(1u32 << (*consecutive_failures - 1).min(16))
+                        .saturating_mul(1u32 << (state.consecutive_failures - 1).min(16))
                         .min(self.cfg.backoff_max)
                         .min(remaining);
                     std::thread::sleep(backoff);
@@ -333,12 +325,12 @@ impl Downstream {
                 ) {
                     Ok(s) => {
                         let _ = s.set_nodelay(true);
-                        let _ = s.set_read_timeout(Some(self.cfg.read_slice));
+                        let _ = s.set_read_timeout(Some(READ_SLICE));
                         let _ = s.set_write_timeout(Some(self.cfg.write_timeout));
-                        if *connected_before {
+                        if state.connected_before {
                             self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
                         }
-                        *connected_before = true;
+                        state.connected_before = true;
                         // Deliberately NOT resetting the backoff counter
                         // here: only a *successful call* proves the peer
                         // is serving. An accept-then-die loop (a host
@@ -346,16 +338,16 @@ impl Downstream {
                         // crashing) used to reset the counter on every
                         // connect, defeating exponential backoff
                         // entirely.
-                        *conn = Some(s);
+                        state.conn = Some(s);
                     }
                     Err(_) => {
-                        *consecutive_failures += 1;
+                        state.consecutive_failures += 1;
                         attempt += 1;
                         continue;
                     }
                 }
             }
-            let stream = conn.as_mut().expect("connection just ensured");
+            let stream = state.conn.as_mut().expect("connection just ensured");
 
             // The request frame carries the gather's *current* seed —
             // a retry or hedge sent after another shard finished prunes
@@ -382,9 +374,7 @@ impl Downstream {
                 write_frame(stream, &frame)
             };
             if write_res.is_err() {
-                *conn = None;
-                *consecutive_failures += 1;
-                self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                state.retry(&self.stats);
                 attempt += 1;
                 continue;
             }
@@ -392,9 +382,7 @@ impl Downstream {
                 // The reply is "lost": abandon the connection without
                 // reading it.
                 let _ = stream.shutdown(Shutdown::Both);
-                *conn = None;
-                *consecutive_failures += 1;
-                self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                state.retry(&self.stats);
                 attempt += 1;
                 continue;
             }
@@ -407,9 +395,7 @@ impl Downstream {
                         // The shard died mid-answer: discard what
                         // arrived and poison the stream.
                         let _ = stream.shutdown(Shutdown::Both);
-                        *conn = None;
-                        *consecutive_failures += 1;
-                        self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                        state.retry(&self.stats);
                         attempt += 1;
                         continue;
                     }
@@ -420,92 +406,75 @@ impl Downstream {
                             // from its base. (This is the successful-
                             // call reset; a successful *connect* alone
                             // no longer resets — see above.)
-                            *consecutive_failures = 0;
-                            match decoded {
+                            state.consecutive_failures = 0;
+                            // `Err` carries whether the host is alive.
+                            let outcome = match decoded {
+                                // Receivers MUST validate partial
+                                // ordering (protocol rule): a malformed
+                                // partial is a shard failure, not a
+                                // panic in the merge. The host is up but
+                                // serving garbage: a data-plane failure
+                                // the breaker must see.
                                 Response::ShardPartial { finished, entries } => {
-                                    // Receivers MUST validate partial
-                                    // ordering (protocol rule): a
-                                    // malformed partial is a shard
-                                    // failure, not a panic in the merge.
-                                    match ShardPartial::from_entries(entries, finished) {
-                                        Ok(partial) => {
-                                            self.stats.record_latency(started.elapsed());
-                                            self.health.record_success();
-                                            // A hedge leg that records
-                                            // the span is the leg that
-                                            // resolved the shard — its
-                                            // answer won.
-                                            gather.trace_span(
-                                                self.shard,
-                                                Some(started),
-                                                if job.hedge { SPAN_HEDGE_WON } else { 0 },
-                                            );
-                                            let first =
-                                                gather.complete_shard(self.shard, Ok(partial));
-                                            if first && job.hedge {
-                                                self.stats
-                                                    .hedges_won
-                                                    .fetch_add(1, Ordering::Relaxed);
-                                            }
-                                        }
-                                        Err(e) => {
-                                            // The host is up but serving
-                                            // garbage: a data-plane
-                                            // failure the breaker must
-                                            // see.
-                                            self.health.record_failure(Instant::now());
-                                            gather.trace_span(
-                                                self.shard,
-                                                Some(started),
-                                                SPAN_FAILED,
-                                            );
-                                            gather.complete_shard(
-                                                self.shard,
-                                                Err(format!(
-                                                    "shard {} malformed partial: {e}",
-                                                    self.shard
-                                                )),
-                                            );
-                                        }
-                                    }
-                                    return;
+                                    ShardPartial::from_entries(entries, finished).map_err(|e| {
+                                        (
+                                            format!("shard {} malformed partial: {e}", self.shard),
+                                            false,
+                                        )
+                                    })
                                 }
-                                Response::Error { code, message } => {
-                                    // The shard answered with a typed
-                                    // refusal; retrying the same request
-                                    // cannot help. The host is alive —
-                                    // liveness-wise this is a success.
+                                // The shard answered with a typed
+                                // refusal; retrying the same request
+                                // cannot help. The host is alive —
+                                // liveness-wise this is a success.
+                                Response::Error { code, message } => Err((
+                                    format!("shard {} error [{code}]: {message}", self.shard),
+                                    true,
+                                )),
+                                other => Err((
+                                    format!("shard {} unexpected reply: {other:?}", self.shard),
+                                    false,
+                                )),
+                            };
+                            match outcome {
+                                Ok(partial) => {
+                                    self.stats.record_latency(started.elapsed());
                                     self.health.record_success();
-                                    gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                                    gather.complete_shard(
+                                    // A hedge leg that records the span
+                                    // is the leg that resolved the shard
+                                    // — its answer won.
+                                    gather.trace_span(
                                         self.shard,
-                                        Err(format!(
-                                            "shard {} error [{code}]: {message}",
-                                            self.shard
-                                        )),
+                                        Some(started),
+                                        if job.hedge { SPAN_HEDGE_WON } else { 0 },
                                     );
-                                    return;
+                                    // Count a winning hedge before its
+                                    // delivery fires the reply (a client
+                                    // holding the reply must see it); a
+                                    // leg that lost the race gives it back.
+                                    if job.hedge {
+                                        self.stats.hedges_won.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    let first = gather.complete_shard(self.shard, Ok(partial));
+                                    if !first && job.hedge {
+                                        self.stats.hedges_won.fetch_sub(1, Ordering::Relaxed);
+                                    }
                                 }
-                                other => {
-                                    self.health.record_failure(Instant::now());
-                                    gather.trace_span(self.shard, Some(started), SPAN_FAILED);
-                                    gather.complete_shard(
-                                        self.shard,
-                                        Err(format!(
-                                            "shard {} unexpected reply: {other:?}",
-                                            self.shard
-                                        )),
-                                    );
-                                    return;
+                                Err((msg, alive)) => {
+                                    if alive {
+                                        self.health.record_success();
+                                    } else {
+                                        self.health.record_failure(Instant::now());
+                                    }
+                                    fail(msg);
                                 }
                             }
+                            return;
                         }
                         Err(_) => {
                             // Undecodable frame: the stream can no
                             // longer be trusted.
-                            *conn = None;
-                            *consecutive_failures += 1;
-                            self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                            state.retry(&self.stats);
                             attempt += 1;
                             continue;
                         }
@@ -520,18 +489,15 @@ impl Downstream {
                     // that must feed the backoff, or an accept-then-
                     // close peer would be hammered in a hot reconnect
                     // loop.
-                    *conn = None;
+                    state.conn = None;
                     if Instant::now() < deadline && !self.shutting_down() {
-                        *consecutive_failures += 1;
-                        self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                        state.retry(&self.stats);
                         attempt += 1;
                     }
                     continue;
                 }
                 Err(_) => {
-                    *conn = None;
-                    *consecutive_failures += 1;
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                    state.retry(&self.stats);
                     attempt += 1;
                     continue;
                 }
@@ -571,21 +537,19 @@ pub(crate) fn control_call(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RouterGather;
-    use fbp_vecdb::{FailurePolicy, WeightedEuclidean};
+    use crate::gather::gather_for;
     use std::io::Read as _;
     use std::net::TcpListener;
-    use std::sync::mpsc;
 
-    fn test_cfg() -> PoolConfig {
-        PoolConfig {
+    fn test_cfg() -> RouterConfig {
+        RouterConfig {
             connect_timeout: Duration::from_millis(200),
-            read_slice: Duration::from_millis(5),
             write_timeout: Duration::from_millis(200),
             backoff_base: Duration::from_millis(1),
             backoff_max: Duration::from_millis(20),
             max_frame_len: 1 << 20,
-            workers: 1,
+            conns_per_downstream: 1,
+            ..RouterConfig::default()
         }
     }
 
@@ -633,26 +597,6 @@ mod tests {
         addr
     }
 
-    /// A single-shard gather whose reply reports success/failure on a
-    /// channel.
-    fn gather_for(deadline: Duration) -> (Arc<RouterGather>, mpsc::Receiver<bool>) {
-        let (tx, rx) = mpsc::channel();
-        let gather = RouterGather::new(
-            1,
-            WeightedEuclidean::new(vec![1.0, 1.0]).unwrap(),
-            vec![0.0, 0.0],
-            vec![1.0, 1.0],
-            1,
-            deadline,
-            FailurePolicy::Strict,
-            None,
-            Box::new(move |outcome| {
-                let _ = tx.send(outcome.is_ok());
-            }),
-        );
-        (gather, rx)
-    }
-
     /// Backoff-reset regression: the exponential-backoff run must
     /// survive successful connects to a dead peer (accept-then-die used
     /// to reset it on every connect, defeating backoff entirely) and
@@ -661,14 +605,7 @@ mod tests {
     #[test]
     fn backoff_resets_on_successful_call_not_on_connect() {
         let addr = misbehaving_server(2);
-        let ds = Downstream::new(
-            0,
-            addr,
-            test_cfg(),
-            None,
-            HealthConfig::default(),
-            (0, 0, 2),
-        );
+        let ds = Downstream::new(0, addr, test_cfg(), (0, 0, 2));
         let mut state = WorkerState::default();
 
         // Job 1: two accept-then-die connects, then a stalled reply —

@@ -1,17 +1,7 @@
-//! The TCP front-end: accept loop, per-connection threads, server-side
-//! session state, and the graceful-shutdown handle.
-//!
-//! Each connection gets one thread running a read→handle→reply loop.
-//! `Knn` requests park on the micro-batcher and wake with their slice of
-//! a coalesced pass; everything else is answered inline. Session state
-//! (current query anchor, learned parameters, last un-judged results)
-//! lives server-side in a [`SessionStore`] keyed by session id, so the
-//! full interactive feedback loop runs over the wire with the same
-//! [`fbp_feedback::FeedbackStepper`] transition the in-process serving
-//! path executes. Sessions are **connection-scoped**: only the
-//! connection that opened a session may use or close it (ids are
-//! sequential, so they must not be capabilities), and they are dropped
-//! when it disconnects.
+//! The flat serving tier: [`serve`] puts the shared front-end
+//! ([`crate::front`]) over [`LocalShards`] — the served collection split
+//! into row shards, each with its own micro-batcher and dispatcher
+//! thread (see [`crate::batcher`]).
 //!
 //! Besides the interactive session surface, every server also answers
 //! the **router downstream surface** (`ShardKnn` / `ShardInfo` /
@@ -20,28 +10,22 @@
 //! slice of a larger router-fronted deployment, answering sessionless
 //! shard-local k-bests with globally-offset indices.
 
-use crate::batcher::{run_shard_dispatcher, Batcher, EnqueueError, Gather};
+use crate::batcher::{Batcher, EnqueueError};
+use crate::front::{self, Front, Handle, ShardBackend};
+use crate::gather::{Gather, GatherFailure, GatherReply};
 use crate::metrics::Metrics;
-use crate::protocol::{
-    error_code_for, read_frame, write_frame, DecodeError, ErrorCode, FrameError, Request, Response,
-    DEFAULT_MAX_FRAME_LEN, KNN_TRACED, PROTOCOL_VERSION,
-};
-use crate::sessions::{err, ExampleSets, SessionStore};
-use crate::trace::{RequestTrace, TraceRing};
+use crate::protocol::{ErrorCode, Response, ShardSpan, DEFAULT_MAX_FRAME_LEN};
+use crate::sessions::err;
+use crate::trace::RequestTrace;
 use fbp_vecdb::{
-    combine_partials, Collection, Neighbor, PartitionConfig, PartitionedCollection, ScanMode,
+    combine_partials, Collection, FailurePolicy, PartitionConfig, PartitionedCollection, ScanMode,
     ShardPartial, ShardedCollection, ShardedScan, WeightedEuclidean,
 };
-use feedbackbypass::{
-    FeedbackBypass, FeedbackConfig, KnnRequest, QuerySpec, RocchioWeights, ShardedBypass,
-    SharedBypass,
-};
+use feedbackbypass::{FeedbackConfig, KnnRequest, ShardedBypass, SharedBypass};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -123,11 +107,6 @@ pub struct ServerConfig {
     pub slow_trace_threshold: Duration,
 }
 
-/// Capacity of the slow-query trace ring (reports, oldest evicted
-/// first). Bounded so an undrained server holds a fixed few KiB of
-/// trace state no matter how long it runs.
-const TRACE_RING_CAP: usize = 64;
-
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -149,33 +128,228 @@ impl Default for ServerConfig {
     }
 }
 
-/// Everything the server threads share.
-struct Shared {
-    store: SessionStore,
-    cfg: ServerConfig,
+/// In-process shards: one micro-batcher and dispatcher thread per row
+/// shard of the served collection, plus the inline `ShardKnn` scan that
+/// makes every server usable as a router's downstream.
+pub(crate) struct LocalShards {
     /// One micro-batcher per shard; every admitted `Knn` is scattered
     /// into all of them.
-    batchers: Vec<Arc<Batcher<Arc<Gather>>>>,
+    batchers: Vec<Batcher<Arc<Gather>>>,
     /// The internal shard split (`ShardKnn` scans it inline).
-    sharded_coll: Arc<ShardedCollection>,
+    coll: ShardedCollection,
     /// Per-shard partition layouts, built once at startup when
     /// [`ServerConfig::partitions`] opted in (`parts[i]` reorders shard
     /// `i`'s rows partition-contiguously; answers stay identical).
-    partitions: Option<Arc<Vec<PartitionedCollection>>>,
-    sharded_bypass: ShardedBypass,
-    /// Admission bound: requests mid-scatter/gather. Enforcing the
-    /// queue capacity here (instead of per batcher) keeps a request's
-    /// scatter atomic — it is either admitted to every shard queue or
-    /// refused outright with `Busy`.
-    inflight: AtomicUsize,
-    metrics: Arc<Metrics>,
-    next_conn: AtomicU64,
-    /// Trace-id source for traced requests (ids are per-server unique,
-    /// never reused).
-    next_trace: AtomicU64,
-    /// Slow-query trace ring, drained by `GetTraces`.
-    traces: TraceRing,
-    shutdown: AtomicBool,
+    partitions: Option<Vec<PartitionedCollection>>,
+    bypass: ShardedBypass,
+    scan_mode: ScanMode,
+    row_offset: usize,
+}
+
+impl LocalShards {
+    /// The shard-pass engine over this server's split. Partition layouts
+    /// (when the server opted in) redirect every shard pass through the
+    /// pruning scan; the delivered partials — and therefore the gathered
+    /// replies — are bit-identical.
+    fn scan<'a>(&'a self, metrics: &'a Metrics) -> ShardedScan<'a> {
+        let scan = ShardedScan::with_mode(&self.coll, self.scan_mode)
+            .with_scan_stats(metrics.scan_stats());
+        match &self.partitions {
+            Some(parts) => scan.with_partitions(parts),
+            None => scan,
+        }
+    }
+
+    /// One shard's dispatcher loop: drain batches from this shard's
+    /// queue, run each as one per-shard scan pass, deliver every
+    /// request's partial to its gather cell (the last shard to deliver
+    /// fires the merged reply). Runs until the batcher shuts down and
+    /// empties.
+    fn run_dispatcher(&self, shard: usize, metrics: &Metrics) {
+        while let Some(batch) = self.batchers[shard].next_batch() {
+            let dispatched = Instant::now();
+            let waits: Vec<Duration> = batch
+                .iter()
+                .map(|(enqueued, _)| dispatched.saturating_duration_since(*enqueued))
+                .collect();
+            let gathers: Vec<Arc<Gather>> = batch.into_iter().map(|(_, g)| g).collect();
+            // Each request's point, metric, and k were resolved once at
+            // admission; the pass borrows them instead of rebuilding the
+            // metric per shard dispatch.
+            let points: Vec<&[f64]> = gathers.iter().map(|g| g.req.point.as_slice()).collect();
+            let pass_metrics: Vec<&WeightedEuclidean> = gathers.iter().map(|g| &g.metric).collect();
+            let ks: Vec<usize> = gathers.iter().map(|g| g.k).collect();
+            // Cross-shard bound propagation: requests whose gathers already
+            // hold another shard's k-th key prune against it from row one.
+            let seeds: Vec<f64> = gathers.iter().map(|g| g.seed()).collect();
+            // The scan is rebuilt per pass (it is a couple of words); the
+            // scan_shard precision rule upgrades it to the f32 mirrors
+            // whenever every shard carries one, and the per-shard thread
+            // budget is an even share of the machine so S concurrent shard
+            // dispatchers cannot oversubscribe the host.
+            let scan = self.scan(metrics);
+            let partials = self.bypass.scan_shard_prepared(
+                &scan,
+                shard,
+                &points,
+                &pass_metrics,
+                &ks,
+                Some(&seeds),
+            );
+            let scanned = Instant::now();
+            metrics.record_pass(&waits);
+            // Traced requests get their span stamped *before* delivery, so
+            // the delivery that completes the gather already sees it.
+            let fill = gathers.len() as u32;
+            for gather in &gathers {
+                if let Some(trace) = &gather.trace {
+                    trace.add_span(ShardSpan {
+                        shard: shard as u32,
+                        queue_ns: dispatched.saturating_duration_since(trace.t0()).as_nanos()
+                            as u64,
+                        busy_ns: scanned.saturating_duration_since(dispatched).as_nanos() as u64,
+                        batch_fill: fill,
+                        flags: 0,
+                    });
+                }
+            }
+            for (gather, partial) in gathers.iter().zip(partials) {
+                gather.complete_shard(shard, Ok(partial));
+            }
+        }
+    }
+}
+
+impl ShardBackend for LocalShards {
+    fn scatter(
+        &self,
+        req: KnnRequest,
+        metric: WeightedEuclidean,
+        k: usize,
+        trace: Option<Arc<RequestTrace>>,
+        reply: GatherReply,
+    ) {
+        let gather = Gather::new(
+            req,
+            metric,
+            k,
+            self.batchers.len(),
+            FailurePolicy::Strict,
+            None,
+            trace,
+            reply,
+        );
+        for (shard, batcher) in self.batchers.iter().enumerate() {
+            if let Err(EnqueueError::ShuttingDown) = batcher.enqueue(Arc::clone(&gather)) {
+                // Shutdown raced the scatter: deliver this shard's slot as
+                // an error so the gather still resolves exactly once (the
+                // reply becomes an `Internal` error frame).
+                gather.complete_shard(shard, Err("server shutting down".into()));
+            }
+        }
+    }
+
+    /// `ShardKnn`: a sessionless shard-local k-best under an explicit
+    /// metric — the frame a router scatters. The scan honors the
+    /// caller's cross-shard early-abandon `seed` (tightened further
+    /// across the internal shard split), the internal per-shard partials
+    /// fold into one via [`combine_partials`] (staying in selection
+    /// space, so the router's gather merges them exactly like in-process
+    /// partials), and every entry's index is offset by
+    /// [`ServerConfig::row_offset`].
+    fn shard_knn(
+        &self,
+        front: &Front,
+        k: u32,
+        seed: f64,
+        point: Vec<f64>,
+        weights: Vec<f64>,
+    ) -> Response {
+        let dim = front.store.coll().dim();
+        if point.len() != dim {
+            front.metrics.record_protocol_error();
+            return err(
+                ErrorCode::DimMismatch,
+                format!("expected {dim}, got {}", point.len()),
+            );
+        }
+        // Empty weights mean uniform by protocol; anything else must match
+        // the dimensionality and be a valid metric — a router relays exact
+        // learned weights, so there is no silent uniform fallback here.
+        let weights = if weights.is_empty() {
+            vec![1.0; dim]
+        } else {
+            weights
+        };
+        if weights.len() != dim {
+            front.metrics.record_protocol_error();
+            return err(
+                ErrorCode::DimMismatch,
+                format!("expected {dim} weights, got {}", weights.len()),
+            );
+        }
+        let metric = match WeightedEuclidean::new(weights) {
+            Ok(m) => m,
+            Err(e) => {
+                front.metrics.record_protocol_error();
+                return err(ErrorCode::BadRequest, format!("shard metric: {e}"));
+            }
+        };
+        let k = (k as usize).min(front.store.coll().len());
+        // A NaN seed would poison every key comparison; treat it as
+        // unseeded.
+        let mut cap = if seed.is_nan() { f64::INFINITY } else { seed };
+        let scan = self.scan(&front.metrics);
+        let mut parts: Vec<ShardPartial> = Vec::with_capacity(self.coll.shards().len());
+        for s in 0..self.coll.shards().len() {
+            let part = self
+                .bypass
+                .scan_shard_prepared(
+                    &scan,
+                    s,
+                    &[point.as_slice()],
+                    &[&metric],
+                    &[k],
+                    Some(&[cap]),
+                )
+                .remove(0);
+            // Serial internal shards: each finished shard's k-th key
+            // tightens the next one's bound (answer-preserving, like the
+            // dispatcher's cross-shard seeds).
+            if let Some(b) = part.bound_key(k) {
+                cap = cap.min(b);
+            }
+            parts.push(part);
+        }
+        let combined = combine_partials(parts.iter(), k);
+        let offset = self.row_offset as u32;
+        let entries: Vec<(f64, u32)> = combined
+            .entries()
+            .iter()
+            .map(|&(key, idx)| (key, idx + offset))
+            .collect();
+        Response::ShardPartial {
+            finished: combined.is_finished(),
+            entries,
+        }
+    }
+
+    /// A local slot fails only when shutdown raced the scatter; the
+    /// reply reports that reason.
+    fn failure(&self, failure: GatherFailure) -> Response {
+        match failure {
+            GatherFailure::Refused { first_error, .. } => err(ErrorCode::Internal, first_error),
+            GatherFailure::Unmergeable => {
+                err(ErrorCode::Internal, "shard partials are unmergeable")
+            }
+        }
+    }
+
+    fn stop(&self) {
+        for batcher in &self.batchers {
+            batcher.shutdown();
+        }
+    }
 }
 
 /// Handle to a running server: address, live stats, graceful shutdown.
@@ -205,64 +379,24 @@ struct Shared {
 /// assert_eq!(stats.sessions_open, 0);
 /// handle.shutdown(); // joins the accept loop and both dispatchers
 /// ```
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    dispatchers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
+pub struct ServerHandle(Handle);
 
 impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// In-process metrics snapshot (same numbers the wire
     /// `SnapshotStats` reports).
     pub fn stats(&self) -> crate::protocol::StatsSnapshot {
-        self.shared.metrics.snapshot(self.shared.store.count())
+        self.0.front.stats()
     }
 
     /// Graceful shutdown: stop accepting, unpark every thread, drain the
-    /// batcher, join everything. Returns once the last thread exited.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for batcher in &self.shared.batchers {
-            batcher.shutdown();
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // After the accept thread exits no new connection threads are
-        // spawned; connection threads notice the flag within a
-        // read-timeout slice.
-        let conns: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.conns.lock().expect("conns lock"));
-        for h in conns {
-            let _ = h.join();
-        }
-        // The shard dispatchers go last: each drains its remaining
-        // queue (best-effort completions to whatever sockets still
-        // live) before reporting end-of-work.
-        for h in self.dispatchers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if self.accept.is_some() || !self.dispatchers.is_empty() {
-            self.shutdown_inner();
-        }
+    /// batchers, join everything. Returns once the last thread exited.
+    pub fn shutdown(self) {
+        drop(self.0);
     }
 }
 
@@ -276,567 +410,36 @@ pub fn serve(
     cfg: ServerConfig,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
     let shards = cfg.shards.max(1);
     // The shard split happens once at startup: each shard copies its
     // rows (and f32 mirror) into its own contiguous buffers, so the
     // per-shard dispatchers stream disjoint memory.
-    let sharded_coll = Arc::new(ShardedCollection::split(&coll, shards));
+    let sharded_coll = ShardedCollection::split(&coll, shards);
     // Partition layouts (opt-in) are likewise a startup cost: each
     // shard's rows are clustered and reordered once, and every pass
     // after that prunes against the same layout.
-    let partitions: Option<Arc<Vec<PartitionedCollection>>> = cfg
+    let partitions: Option<Vec<PartitionedCollection>> = cfg
         .partitions
         .as_ref()
-        .map(|p| Arc::new(sharded_coll.build_partitions(p)));
-    let sharded_bypass = ShardedBypass::from_shared(bypass.clone());
-    let batchers: Vec<Arc<Batcher<Arc<Gather>>>> = (0..shards)
-        .map(|_| {
-            Arc::new(Batcher::new(
-                cfg.max_batch,
-                cfg.target_fill,
-                cfg.max_wait,
-                cfg.idle_gap,
-            ))
-        })
-        .collect();
-    let metrics = Arc::new(Metrics::new(shards as u64));
-    let shared = Arc::new(Shared {
-        store: SessionStore::new(
-            Arc::clone(&coll),
-            bypass.clone(),
-            cfg.feedback.clone(),
-            Arc::clone(&metrics),
-        ),
-        cfg: cfg.clone(),
-        batchers: batchers.clone(),
-        sharded_coll: Arc::clone(&sharded_coll),
-        partitions: partitions.clone(),
-        sharded_bypass: sharded_bypass.clone(),
-        inflight: AtomicUsize::new(0),
-        metrics: Arc::clone(&metrics),
-        next_conn: AtomicU64::new(1),
-        next_trace: AtomicU64::new(1),
-        traces: TraceRing::new(TRACE_RING_CAP, cfg.slow_trace_threshold),
-        shutdown: AtomicBool::new(false),
+        .map(|p| sharded_coll.build_partitions(p));
+    let local = Arc::new(LocalShards {
+        batchers: (0..shards)
+            .map(|_| Batcher::new(cfg.max_batch, cfg.target_fill, cfg.max_wait, cfg.idle_gap))
+            .collect(),
+        coll: sharded_coll,
+        partitions,
+        bypass: ShardedBypass::from_shared(bypass.clone()),
+        scan_mode: cfg.scan_mode,
+        row_offset: cfg.row_offset,
     });
-
-    let dispatchers: Vec<JoinHandle<()>> = batchers
-        .iter()
-        .enumerate()
-        .map(|(shard, batcher)| {
-            std::thread::spawn({
-                let batcher = Arc::clone(batcher);
-                let coll = Arc::clone(&sharded_coll);
-                let partitions = partitions.clone();
-                let bypass = sharded_bypass.clone();
-                let metrics = Arc::clone(&metrics);
-                let scan_mode = cfg.scan_mode;
-                move || {
-                    run_shard_dispatcher(
-                        shard, batcher, coll, partitions, bypass, scan_mode, metrics,
-                    )
-                }
+    let backend: Arc<dyn ShardBackend> = local.clone();
+    front::start(listener, coll, bypass, cfg, backend, |front| {
+        (0..shards)
+            .map(|shard| {
+                let (local, metrics) = (Arc::clone(&local), Arc::clone(&front.metrics));
+                std::thread::spawn(move || local.run_dispatcher(shard, &metrics))
             })
-        })
-        .collect();
-
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = std::thread::spawn({
-        let shared = Arc::clone(&shared);
-        let conns = Arc::clone(&conns);
-        move || {
-            for stream in listener.incoming() {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let stream = match stream {
-                    Ok(s) => s,
-                    Err(_) => {
-                        // Persistent accept failures (EMFILE under fd
-                        // exhaustion) must not busy-spin the core.
-                        std::thread::sleep(Duration::from_millis(10));
-                        continue;
-                    }
-                };
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || handle_connection(stream, &shared));
-                let mut conns = conns.lock().expect("conns lock");
-                // Reap finished connection threads as we go so a
-                // long-lived server doesn't accumulate one JoinHandle
-                // per connection ever accepted.
-                conns.retain(|h| !h.is_finished());
-                conns.push(handle);
-            }
-        }
-    });
-
-    Ok(ServerHandle {
-        addr,
-        shared,
-        accept: Some(accept),
-        dispatchers,
-        conns,
+            .collect()
     })
-}
-
-/// Read→handle→reply loop for one connection. Frame-layer failures end
-/// the connection; well-framed protocol errors are answered and the
-/// connection lives on. Sessions this connection opened die with it.
-///
-/// The socket is split: this thread owns the read side; the write side
-/// sits behind a mutex shared with the dispatcher, which writes `Knn`
-/// replies directly from the pass (each reply frame is one `write_all`
-/// under the lock, so frames never interleave). A client must therefore
-/// keep at most one `Knn` in flight per connection before reading its
-/// reply — which a strict request/response client does by construction.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    // Bounded reply writes: SO_SNDTIMEO is socket-wide, so the clone the
-    // dispatcher writes through inherits it — a peer that stops reading
-    // can stall a reply for at most this long before the write fails and
-    // the connection is shut down.
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let writer: Arc<Mutex<TcpStream>> = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    // Buffered reads: header + body of a frame usually arrive together,
-    // so one syscall serves both.
-    let mut reader = io::BufReader::with_capacity(16 * 1024, stream);
-    let mut owned_sessions: Vec<u64> = Vec::new();
-    // Every connection starts at protocol v1; a `Hello` exchange can
-    // raise it (to at most [`PROTOCOL_VERSION`]) for the connection's
-    // remaining lifetime. v2-only opcodes are refused below the
-    // negotiated version, so v1 traffic stays byte-for-byte unchanged.
-    let mut version: u8 = 1;
-    loop {
-        let mut keep_waiting = || !shared.shutdown.load(Ordering::SeqCst);
-        match read_frame(&mut reader, shared.cfg.max_frame_len, &mut keep_waiting) {
-            Ok(None) => break, // clean close or shutdown
-            Ok(Some(payload)) => {
-                let response = match Request::decode(&payload) {
-                    Ok(req) => handle_request(
-                        req,
-                        shared,
-                        &writer,
-                        conn_id,
-                        &mut owned_sessions,
-                        &mut version,
-                    ),
-                    Err(e) => {
-                        // The length prefix framed this payload, so the
-                        // stream is still in sync: answer and continue.
-                        shared.metrics.record_protocol_error();
-                        let code = match e {
-                            DecodeError::UnknownOpcode(_) => ErrorCode::UnknownOpcode,
-                            _ => ErrorCode::BadFrame,
-                        };
-                        Some(Response::Error {
-                            code,
-                            message: e.to_string(),
-                        })
-                    }
-                };
-                // `None` means a Knn was enqueued — the dispatcher's
-                // completion writes that reply.
-                if let Some(response) = response {
-                    if write_response(&writer, &response).is_err() {
-                        break; // client gone mid-reply
-                    }
-                }
-            }
-            Err(FrameError::Oversized { len, max }) => {
-                // The oversized body was never read, so the stream can't
-                // be resynchronized: report, then drop the connection.
-                shared.metrics.record_protocol_error();
-                let resp = Response::Error {
-                    code: ErrorCode::BadFrame,
-                    message: format!("frame of {len} bytes exceeds the {max}-byte maximum"),
-                };
-                let _ = write_response(&writer, &resp);
-                break;
-            }
-            Err(FrameError::Io(e)) => {
-                // Truncated frame / reset: nothing to answer.
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    shared.metrics.record_protocol_error();
-                }
-                break;
-            }
-        }
-    }
-    shared.store.drop_owned(&owned_sessions);
-}
-
-/// One reply frame under the connection's write lock.
-fn write_response(writer: &Mutex<TcpStream>, response: &Response) -> io::Result<()> {
-    let mut w = writer.lock().expect("writer lock");
-    write_frame(&mut *w, &response.encode())
-}
-
-/// Serve one decoded request; `None` means the reply was deferred to the
-/// dispatcher (an enqueued `Knn`).
-fn handle_request(
-    req: Request,
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    conn_id: u64,
-    owned: &mut Vec<u64>,
-    version: &mut u8,
-) -> Option<Response> {
-    match req {
-        Request::Hello { version: client } => Some(if client == 0 {
-            shared.metrics.record_protocol_error();
-            err(ErrorCode::BadRequest, "protocol version 0 is not valid")
-        } else {
-            *version = client.min(PROTOCOL_VERSION);
-            Response::HelloAck { version: *version }
-        }),
-        Request::OpenSession => {
-            let id = shared.store.open(conn_id);
-            owned.push(id);
-            Some(Response::SessionOpened {
-                session: id,
-                dim: shared.store.coll().dim() as u32,
-            })
-        }
-        Request::Knn { session, k, query } => handle_knn(
-            shared,
-            writer,
-            conn_id,
-            session,
-            k,
-            query,
-            ExampleSets::default(),
-            false,
-        ),
-        Request::KnnV2 {
-            session,
-            k,
-            alpha,
-            beta,
-            gamma,
-            clamp,
-            trace,
-            anchor,
-            positives,
-            negatives,
-        } => {
-            if *version < 2 {
-                shared.metrics.record_protocol_error();
-                return Some(err(
-                    ErrorCode::BadRequest,
-                    "KnnV2 requires a negotiated protocol version >= 2 (send Hello first)",
-                ));
-            }
-            let spec = match QuerySpec::builder(anchor)
-                .positives(positives)
-                .negatives(negatives)
-                .rocchio(RocchioWeights::new(alpha, beta, gamma))
-                .clamp_to_zero(clamp)
-                .build()
-            {
-                Ok(spec) => spec,
-                Err(e) => {
-                    shared.metrics.record_protocol_error();
-                    return Some(err(error_code_for(&e), e.to_string()));
-                }
-            };
-            // Lower once, before admission: everything downstream — the
-            // session registry, the micro-batchers, the shard scatter —
-            // sees a plain point query on the derived anchor, exactly
-            // as if the client had sent v1 `Knn` with that point.
-            let examples = ExampleSets {
-                positives: spec.positives().to_vec(),
-                negatives: spec.negatives().to_vec(),
-            };
-            let derived = spec.lower().into_request().point;
-            // The trace bit is honored only at a negotiated v3+; on an
-            // older negotiation it is ignored (not an error), so a v3
-            // encoder talking through a v2 negotiation degrades to an
-            // ordinary untraced reply.
-            let traced = trace && *version >= 3;
-            handle_knn(
-                shared, writer, conn_id, session, k, derived, examples, traced,
-            )
-        }
-        Request::Feedback { session, relevant } => {
-            Some(shared.store.feedback(conn_id, session, relevant))
-        }
-        Request::SnapshotStats => Some(Response::Stats(Box::new(
-            shared.metrics.snapshot(shared.store.count()),
-        ))),
-        Request::GetTraces { max } => {
-            if *version < 3 {
-                shared.metrics.record_protocol_error();
-                return Some(err(
-                    ErrorCode::BadRequest,
-                    "GetTraces requires a negotiated protocol version >= 3 (send Hello first)",
-                ));
-            }
-            Some(Response::TraceList {
-                traces: shared.traces.drain(max),
-            })
-        }
-        Request::Close { session } => {
-            let removed = shared.store.close(session, conn_id);
-            owned.retain(|&id| id != session);
-            Some(if removed {
-                Response::Closed
-            } else {
-                err(ErrorCode::UnknownSession, format!("session {session}"))
-            })
-        }
-        Request::ShardKnn {
-            k,
-            seed,
-            point,
-            weights,
-        } => Some(handle_shard_knn(shared, k, seed, point, weights)),
-        Request::ShardInfo => Some(Response::ShardInfoResult {
-            rows: shared.store.coll().len() as u64,
-            offset: shared.cfg.row_offset as u64,
-            dim: shared.store.coll().dim() as u32,
-        }),
-        Request::SnapshotModule => Some(Response::ModuleImage {
-            image: shared.store.bypass().to_bytes(),
-        }),
-        Request::RestoreModule { image } => Some(handle_restore_module(shared, &image)),
-    }
-}
-
-/// `Knn` (and lowered `KnnV2`): resolve the session's search
-/// parameters, admit the request, and scatter a gather cell into every
-/// shard's micro-batcher; the shard dispatcher delivering the last
-/// partial merges and finishes the reply (post-pass bookkeeping + the
-/// socket write). `query` is the (possibly derived) anchor point and
-/// `examples` the spec's example sets (empty for v1). With `traced`
-/// set, a [`RequestTrace`] rides the gather and the reply carries the
-/// stage-timing trailer — everything else about the reply is
-/// bit-identical to the untraced answer. Returns `None` when the reply
-/// was deferred to the dispatcher, `Some(error)` otherwise.
-#[allow(clippy::too_many_arguments)]
-fn handle_knn(
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<TcpStream>>,
-    conn_id: u64,
-    session: u64,
-    k: u32,
-    query: Vec<f64>,
-    examples: ExampleSets,
-    traced: bool,
-) -> Option<Response> {
-    let dim = shared.store.coll().dim();
-    if query.len() != dim {
-        shared.metrics.record_protocol_error();
-        return Some(err(
-            ErrorCode::DimMismatch,
-            format!("expected {dim}, got {}", query.len()),
-        ));
-    }
-    // `k` can never exceed the collection, so clamp instead of letting a
-    // forged request size a gigantic k-best heap.
-    let k = (k as usize).min(shared.store.coll().len());
-
-    let (point, weights) = match shared.store.resolve_knn(conn_id, session, query, examples) {
-        Ok(params) => params,
-        Err(resp) => return Some(resp),
-    };
-    let req = KnnRequest {
-        point,
-        weights,
-        k: Some(k),
-        precision: None,
-    };
-    // Build the request's metric exactly once, at admission — every
-    // shard pass and the final merge share it, instead of each shard
-    // dispatch rebuilding it per pass.
-    let metric = match req.metric(dim) {
-        Ok(m) => m,
-        Err(e) => {
-            shared.metrics.record_protocol_error();
-            return Some(err(ErrorCode::BadRequest, e.to_string()));
-        }
-    };
-
-    // Admission: the queue bound applies to whole requests — a request
-    // either scatters to every shard queue or is refused up front, so
-    // no gather can ever be left half-scattered by backpressure.
-    if shared.inflight.fetch_add(1, Ordering::AcqRel) >= shared.cfg.queue_capacity {
-        shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        return Some(err(ErrorCode::Busy, "batch queue full"));
-    }
-    shared.metrics.record_request();
-
-    // Admission is t0: the trace's clock starts the moment the request
-    // enters the scatter path, so every stage offset shares one origin.
-    let req_trace =
-        traced.then(|| RequestTrace::new(shared.next_trace.fetch_add(1, Ordering::Relaxed)));
-
-    let completion = {
-        let shared = Arc::clone(shared);
-        let writer = Arc::clone(writer);
-        let req_trace = req_trace.clone();
-        Box::new(move |outcome: Result<Vec<Neighbor>, String>| {
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            let response = match outcome {
-                Ok(neighbors) => {
-                    let (mut flags, cycles) = shared.store.finish_knn(session, &neighbors);
-                    // Fold the trace last, right before encode, so the
-                    // merge window covers the session bookkeeping too.
-                    // Error replies never carry a trailer.
-                    let trace = req_trace.as_ref().map(|t| {
-                        let report = t.finish();
-                        shared.traces.record(&report);
-                        Box::new(report)
-                    });
-                    if trace.is_some() {
-                        flags |= KNN_TRACED;
-                    }
-                    Response::KnnResult {
-                        flags,
-                        cycles,
-                        missing_shards: Vec::new(),
-                        trace,
-                        neighbors,
-                    }
-                }
-                Err(msg) => err(ErrorCode::Internal, msg),
-            };
-            // A failed (or timed-out) write is a vanished or stalled
-            // client: shut the socket down so its connection thread's
-            // read errors out and reaps the sessions — the dispatcher
-            // must never be wedged by one bad peer.
-            if write_response(&writer, &response).is_err() {
-                let w = writer.lock().expect("writer lock");
-                let _ = w.shutdown(std::net::Shutdown::Both);
-            }
-        })
-    };
-    let gather = Gather::new(req, metric, k, shared.batchers.len(), req_trace, completion);
-    for (shard, batcher) in shared.batchers.iter().enumerate() {
-        if let Err(EnqueueError::ShuttingDown) = batcher.enqueue(Arc::clone(&gather)) {
-            // Shutdown raced the scatter: deliver this shard's slot as
-            // an error so the gather still resolves exactly once (the
-            // reply becomes an `Internal` error frame).
-            gather.complete_shard(shard, Err("server shutting down".into()));
-        }
-    }
-    None
-}
-
-/// `ShardKnn`: a sessionless shard-local k-best under an explicit
-/// metric — the frame a router scatters. The scan honors the caller's
-/// cross-shard early-abandon `seed` (tightened further across the
-/// internal shard split), the internal per-shard partials fold into one
-/// via [`combine_partials`] (staying in selection space, so the
-/// router's gather merges them exactly like in-process partials), and
-/// every entry's index is offset by [`ServerConfig::row_offset`].
-fn handle_shard_knn(
-    shared: &Shared,
-    k: u32,
-    seed: f64,
-    point: Vec<f64>,
-    weights: Vec<f64>,
-) -> Response {
-    let dim = shared.store.coll().dim();
-    if point.len() != dim {
-        shared.metrics.record_protocol_error();
-        return err(
-            ErrorCode::DimMismatch,
-            format!("expected {dim}, got {}", point.len()),
-        );
-    }
-    // Empty weights mean uniform by protocol; anything else must match
-    // the dimensionality and be a valid metric — a router relays exact
-    // learned weights, so there is no silent uniform fallback here.
-    let weights = if weights.is_empty() {
-        vec![1.0; dim]
-    } else {
-        weights
-    };
-    if weights.len() != dim {
-        shared.metrics.record_protocol_error();
-        return err(
-            ErrorCode::DimMismatch,
-            format!("expected {dim} weights, got {}", weights.len()),
-        );
-    }
-    let metric = match WeightedEuclidean::new(weights) {
-        Ok(m) => m,
-        Err(e) => {
-            shared.metrics.record_protocol_error();
-            return err(ErrorCode::BadRequest, format!("shard metric: {e}"));
-        }
-    };
-    let k = (k as usize).min(shared.store.coll().len());
-    // A NaN seed would poison every key comparison; treat it as
-    // unseeded.
-    let mut cap = if seed.is_nan() { f64::INFINITY } else { seed };
-    let scan = ShardedScan::with_mode(&shared.sharded_coll, shared.cfg.scan_mode)
-        .with_scan_stats(shared.metrics.scan_stats());
-    let scan = match &shared.partitions {
-        Some(parts) => scan.with_partitions(parts),
-        None => scan,
-    };
-    let mut parts: Vec<ShardPartial> = Vec::with_capacity(shared.sharded_coll.shards().len());
-    for s in 0..shared.sharded_coll.shards().len() {
-        let part = shared
-            .sharded_bypass
-            .scan_shard_prepared(
-                &scan,
-                s,
-                &[point.as_slice()],
-                &[&metric],
-                &[k],
-                Some(&[cap]),
-            )
-            .remove(0);
-        // Serial internal shards: each finished shard's k-th key
-        // tightens the next one's bound (answer-preserving, like the
-        // dispatcher's cross-shard seeds).
-        if let Some(b) = part.bound_key(k) {
-            cap = cap.min(b);
-        }
-        parts.push(part);
-    }
-    let combined = combine_partials(parts.iter(), k);
-    let offset = shared.cfg.row_offset as u32;
-    let entries: Vec<(f64, u32)> = combined
-        .entries()
-        .iter()
-        .map(|&(key, idx)| (key, idx + offset))
-        .collect();
-    Response::ShardPartial {
-        finished: combined.is_finished(),
-        entries,
-    }
-}
-
-/// `RestoreModule`: deserialize and install a replacement learned
-/// module — the receive half of router→shard module replication.
-fn handle_restore_module(shared: &Shared, image: &[u8]) -> Response {
-    let module = match FeedbackBypass::from_bytes(image) {
-        Ok(m) => m,
-        Err(e) => {
-            shared.metrics.record_protocol_error();
-            return err(ErrorCode::BadRequest, format!("module image: {e}"));
-        }
-    };
-    let dim = shared.store.coll().dim();
-    if module.feature_dim() != dim {
-        shared.metrics.record_protocol_error();
-        return err(
-            ErrorCode::DimMismatch,
-            format!(
-                "module is {}-dimensional, serving {dim}",
-                module.feature_dim()
-            ),
-        );
-    }
-    shared.store.bypass().replace(module);
-    Response::ModuleRestored
+    .map(ServerHandle)
 }

@@ -1,8 +1,14 @@
 //! Protocol robustness: malformed frames, bad requests, and abrupt
 //! disconnects must surface as coded errors or dropped connections —
 //! never panics, never a wedged batcher, never a leaked session.
+//!
+//! Every case runs against both serving tiers, which share one
+//! front-end: a flat `serve`, and a `route` over two shard servers.
 
-use fbp_server::{serve, Client, ClientError, ErrorCode, ServerConfig};
+use fbp_server::{
+    route, serve, Client, ClientError, ErrorCode, RouterConfig, RouterHandle, ServerConfig,
+    ServerHandle, StatsSnapshot,
+};
 use fbp_vecdb::{Collection, CollectionBuilder};
 use feedbackbypass::{BypassConfig, FeedbackBypass, SharedBypass};
 use std::io::{Read, Write};
@@ -23,10 +29,90 @@ fn collection() -> Collection {
     b.build()
 }
 
-fn start_server(cfg: ServerConfig) -> fbp_server::ServerHandle {
-    let bypass =
-        SharedBypass::new(FeedbackBypass::for_histograms(DIM, BypassConfig::default()).unwrap());
-    serve("127.0.0.1:0", Arc::new(collection()), bypass, cfg).unwrap()
+fn module() -> SharedBypass {
+    SharedBypass::new(FeedbackBypass::for_histograms(DIM, BypassConfig::default()).unwrap())
+}
+
+/// The serving tier a case runs against.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    /// One `serve` front-end over in-process shards.
+    Flat,
+    /// One `route` front-end over two remote shard servers.
+    Routed,
+}
+
+const TIERS: [Tier; 2] = [Tier::Flat, Tier::Routed];
+
+/// A running tier: the front-end clients talk to, plus the shard servers
+/// behind a router.
+enum Deployment {
+    Flat(ServerHandle),
+    Routed(RouterHandle, Vec<ServerHandle>),
+}
+
+impl Deployment {
+    fn local_addr(&self) -> SocketAddr {
+        match self {
+            Deployment::Flat(h) => h.local_addr(),
+            Deployment::Routed(r, _) => r.local_addr(),
+        }
+    }
+
+    fn stats(&self) -> StatsSnapshot {
+        match self {
+            Deployment::Flat(h) => h.stats(),
+            Deployment::Routed(r, _) => r.stats(),
+        }
+    }
+
+    fn shutdown(self) {
+        match self {
+            Deployment::Flat(h) => h.shutdown(),
+            Deployment::Routed(r, shards) => {
+                r.shutdown();
+                for s in shards {
+                    s.shutdown();
+                }
+            }
+        }
+    }
+}
+
+/// Start `tier` with the front-end knobs of `cfg`. A router takes the
+/// knobs both front-ends share; its shard servers serve one half of
+/// the collection each with default knobs.
+fn start_server(tier: Tier, cfg: ServerConfig) -> Deployment {
+    let coll = Arc::new(collection());
+    match tier {
+        Tier::Flat => Deployment::Flat(serve("127.0.0.1:0", coll, module(), cfg).unwrap()),
+        Tier::Routed => {
+            let half = coll.len() / 2;
+            let shards: Vec<ServerHandle> = [(0, half), (half, coll.len())]
+                .into_iter()
+                .map(|(start, end)| {
+                    let slice = Arc::new(coll.slice_rows(start, end));
+                    let shard_cfg = ServerConfig {
+                        row_offset: start,
+                        ..ServerConfig::default()
+                    };
+                    serve("127.0.0.1:0", slice, module(), shard_cfg).unwrap()
+                })
+                .collect();
+            let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.local_addr()).collect();
+            let router_cfg = RouterConfig {
+                queue_capacity: cfg.queue_capacity,
+                max_frame_len: cfg.max_frame_len,
+                read_timeout: cfg.read_timeout,
+                write_timeout: cfg.write_timeout,
+                feedback: cfg.feedback,
+                slow_trace_threshold: cfg.slow_trace_threshold,
+                ..RouterConfig::default()
+            };
+            let router = route("127.0.0.1:0", &addrs, coll, module(), router_cfg).unwrap();
+            Deployment::Routed(router, shards)
+        }
+    }
 }
 
 /// The server must keep serving fresh connections after this check ran.
@@ -54,233 +140,258 @@ fn expect_server_error<T: std::fmt::Debug>(
 
 #[test]
 fn truncated_frame_drops_connection_not_server() {
-    let handle = start_server(ServerConfig::default());
-    let addr = handle.local_addr();
-    {
-        let mut raw = TcpStream::connect(addr).unwrap();
-        // Claim 100 payload bytes, send 10, vanish.
-        raw.write_all(&100u32.to_le_bytes()).unwrap();
-        raw.write_all(&[0u8; 10]).unwrap();
-    } // dropped here — server sees EOF mid-frame
-    assert_still_serving(addr);
-    // The drop was counted.
-    let stats = handle.stats();
-    assert!(stats.protocol_errors >= 1);
-    handle.shutdown();
+    for tier in TIERS {
+        let handle = start_server(tier, ServerConfig::default());
+        let addr = handle.local_addr();
+        {
+            let mut raw = TcpStream::connect(addr).unwrap();
+            // Claim 100 payload bytes, send 10, vanish.
+            raw.write_all(&100u32.to_le_bytes()).unwrap();
+            raw.write_all(&[0u8; 10]).unwrap();
+        } // dropped here — server sees EOF mid-frame
+        assert_still_serving(addr);
+        // The drop was counted.
+        let stats = handle.stats();
+        assert!(stats.protocol_errors >= 1);
+        handle.shutdown();
+    }
 }
 
 #[test]
 fn oversized_frame_is_refused_then_connection_closed() {
-    let handle = start_server(ServerConfig {
-        max_frame_len: 1024,
-        ..Default::default()
-    });
-    let addr = handle.local_addr();
-    let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(&(1u32 << 30).to_le_bytes()).unwrap();
-    // The server answers a BadFrame error, then hangs up (the unread
-    // body makes the stream unrecoverable).
-    let mut reply = Vec::new();
-    raw.read_to_end(&mut reply).unwrap();
-    assert!(!reply.is_empty(), "expected an error frame before close");
-    let payload = &reply[4..];
-    match fbp_server::protocol::Response::decode(payload).unwrap() {
-        fbp_server::protocol::Response::Error { code, .. } => {
-            assert_eq!(code, ErrorCode::BadFrame);
+    for tier in TIERS {
+        let handle = start_server(
+            tier,
+            ServerConfig {
+                max_frame_len: 1024,
+                ..Default::default()
+            },
+        );
+        let addr = handle.local_addr();
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(&(1u32 << 30).to_le_bytes()).unwrap();
+        // The server answers a BadFrame error, then hangs up (the unread
+        // body makes the stream unrecoverable).
+        let mut reply = Vec::new();
+        raw.read_to_end(&mut reply).unwrap();
+        assert!(!reply.is_empty(), "expected an error frame before close");
+        let payload = &reply[4..];
+        match fbp_server::protocol::Response::decode(payload).unwrap() {
+            fbp_server::protocol::Response::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::BadFrame);
+            }
+            other => panic!("expected Error, got {other:?}"),
         }
-        other => panic!("expected Error, got {other:?}"),
+        assert_still_serving(addr);
+        handle.shutdown();
     }
-    assert_still_serving(addr);
-    handle.shutdown();
 }
 
 #[test]
 fn unknown_opcode_is_answered_and_connection_survives() {
-    let handle = start_server(ServerConfig::default());
-    let addr = handle.local_addr();
-    let mut raw = TcpStream::connect(addr).unwrap();
-    // A well-framed payload with a bogus opcode…
-    raw.write_all(&1u32.to_le_bytes()).unwrap();
-    raw.write_all(&[0x7F]).unwrap();
-    let mut header = [0u8; 4];
-    raw.read_exact(&mut header).unwrap();
-    let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
-    raw.read_exact(&mut payload).unwrap();
-    match fbp_server::protocol::Response::decode(&payload).unwrap() {
-        fbp_server::protocol::Response::Error { code, .. } => {
-            assert_eq!(code, ErrorCode::UnknownOpcode);
-        }
-        other => panic!("expected Error, got {other:?}"),
-    }
-    // …and the same connection still works (length framing stayed in
-    // sync).
-    let open = fbp_server::protocol::Request::OpenSession.encode();
-    raw.write_all(&(open.len() as u32).to_le_bytes()).unwrap();
-    raw.write_all(&open).unwrap();
-    raw.read_exact(&mut header).unwrap();
-    let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
-    raw.read_exact(&mut payload).unwrap();
-    assert!(matches!(
-        fbp_server::protocol::Response::decode(&payload).unwrap(),
-        fbp_server::protocol::Response::SessionOpened { .. }
-    ));
-    handle.shutdown();
-}
-
-#[test]
-fn wrong_dim_and_unknown_session_are_coded_errors() {
-    let handle = start_server(ServerConfig::default());
-    let addr = handle.local_addr();
-    let mut client = Client::connect(addr).unwrap();
-    let (session, _) = client.open_session().unwrap();
-
-    expect_server_error(client.knn(session, 3, &[0.5; 2]), ErrorCode::DimMismatch);
-    expect_server_error(
-        client.knn(0xDEAD_BEEF, 3, &[0.5; DIM]),
-        ErrorCode::UnknownSession,
-    );
-    expect_server_error(
-        client.feedback(0xDEAD_BEEF, &[1, 2]),
-        ErrorCode::UnknownSession,
-    );
-    // Feedback with nothing to judge is a BadRequest…
-    expect_server_error(client.feedback(session, &[1, 2]), ErrorCode::BadRequest);
-    // …and closing twice reports the second as unknown.
-    client.close_session(session).unwrap();
-    expect_server_error(
-        client.knn(session, 3, &[0.5; DIM]),
-        ErrorCode::UnknownSession,
-    );
-    // The connection survived every error above.
-    let (session2, _) = client.open_session().unwrap();
-    assert_eq!(
-        client
-            .knn(session2, 1, &[0.5; DIM])
-            .unwrap()
-            .neighbors
-            .len(),
-        1
-    );
-    handle.shutdown();
-}
-
-#[test]
-fn sessions_are_connection_scoped() {
-    // Session ids are sequential, so a foreign connection could guess
-    // them — every access must be checked against the opening
-    // connection, and a mismatch must look exactly like a missing id.
-    let handle = start_server(ServerConfig::default());
-    let addr = handle.local_addr();
-    let mut owner = Client::connect(addr).unwrap();
-    let (session, _) = owner.open_session().unwrap();
-    let reply = owner.knn(session, 3, &[0.5; DIM]).unwrap();
-    assert_eq!(reply.neighbors.len(), 3);
-
-    let mut intruder = Client::connect(addr).unwrap();
-    expect_server_error(
-        intruder.knn(session, 3, &[0.5; DIM]),
-        ErrorCode::UnknownSession,
-    );
-    expect_server_error(intruder.feedback(session, &[1]), ErrorCode::UnknownSession);
-    let closed = match intruder.close_session(session) {
-        Err(ClientError::Server {
-            code: ErrorCode::UnknownSession,
-            ..
-        }) => false,
-        other => panic!("expected UnknownSession on foreign close, got {other:?}"),
-    };
-    assert!(!closed);
-
-    // The rightful owner is unaffected by the intrusion attempts.
-    let reply = owner.knn(session, 5, &[0.4; DIM]).unwrap();
-    assert_eq!(reply.neighbors.len(), 5);
-    owner.close_session(session).unwrap();
-    handle.shutdown();
-}
-
-#[test]
-fn mid_request_disconnect_does_not_poison_the_batcher() {
-    // A long max_wait: the in-flight request is still queued when its
-    // client vanishes, so the dispatcher must hit the dead reply channel.
-    let handle = start_server(ServerConfig {
-        max_batch: 64,
-        max_wait: Duration::from_millis(100),
-        ..Default::default()
-    });
-    let addr = handle.local_addr();
-    for _ in 0..4 {
+    for tier in TIERS {
+        let handle = start_server(tier, ServerConfig::default());
+        let addr = handle.local_addr();
         let mut raw = TcpStream::connect(addr).unwrap();
-        let open = fbp_server::protocol::Request::OpenSession.encode();
-        raw.write_all(&(open.len() as u32).to_le_bytes()).unwrap();
-        raw.write_all(&open).unwrap();
+        // A well-framed payload with a bogus opcode…
+        raw.write_all(&1u32.to_le_bytes()).unwrap();
+        raw.write_all(&[0x7F]).unwrap();
         let mut header = [0u8; 4];
         raw.read_exact(&mut header).unwrap();
         let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
         raw.read_exact(&mut payload).unwrap();
-        let session = match fbp_server::protocol::Response::decode(&payload).unwrap() {
-            fbp_server::protocol::Response::SessionOpened { session, .. } => session,
-            other => panic!("expected SessionOpened, got {other:?}"),
-        };
-        // Send a valid Knn, then vanish without reading the reply.
-        let knn = fbp_server::protocol::Request::Knn {
-            session,
-            k: 5,
-            query: vec![0.5; DIM],
+        match fbp_server::protocol::Response::decode(&payload).unwrap() {
+            fbp_server::protocol::Response::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::UnknownOpcode);
+            }
+            other => panic!("expected Error, got {other:?}"),
         }
-        .encode();
-        raw.write_all(&(knn.len() as u32).to_le_bytes()).unwrap();
-        raw.write_all(&knn).unwrap();
-        drop(raw);
+        // …and the same connection still works (length framing stayed in
+        // sync).
+        let open = fbp_server::protocol::Request::OpenSession.encode();
+        raw.write_all(&(open.len() as u32).to_le_bytes()).unwrap();
+        raw.write_all(&open).unwrap();
+        raw.read_exact(&mut header).unwrap();
+        let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
+        raw.read_exact(&mut payload).unwrap();
+        assert!(matches!(
+            fbp_server::protocol::Response::decode(&payload).unwrap(),
+            fbp_server::protocol::Response::SessionOpened { .. }
+        ));
+        handle.shutdown();
     }
-    // The batcher must still serve new traffic promptly afterwards.
-    assert_still_serving(addr);
-    handle.shutdown();
+}
+
+#[test]
+fn wrong_dim_and_unknown_session_are_coded_errors() {
+    for tier in TIERS {
+        let handle = start_server(tier, ServerConfig::default());
+        let addr = handle.local_addr();
+        let mut client = Client::connect(addr).unwrap();
+        let (session, _) = client.open_session().unwrap();
+
+        expect_server_error(client.knn(session, 3, &[0.5; 2]), ErrorCode::DimMismatch);
+        expect_server_error(
+            client.knn(0xDEAD_BEEF, 3, &[0.5; DIM]),
+            ErrorCode::UnknownSession,
+        );
+        expect_server_error(
+            client.feedback(0xDEAD_BEEF, &[1, 2]),
+            ErrorCode::UnknownSession,
+        );
+        // Feedback with nothing to judge is a BadRequest…
+        expect_server_error(client.feedback(session, &[1, 2]), ErrorCode::BadRequest);
+        // …and closing twice reports the second as unknown.
+        client.close_session(session).unwrap();
+        expect_server_error(
+            client.knn(session, 3, &[0.5; DIM]),
+            ErrorCode::UnknownSession,
+        );
+        // The connection survived every error above.
+        let (session2, _) = client.open_session().unwrap();
+        assert_eq!(
+            client
+                .knn(session2, 1, &[0.5; DIM])
+                .unwrap()
+                .neighbors
+                .len(),
+            1
+        );
+        handle.shutdown();
+    }
+}
+
+#[test]
+fn sessions_are_connection_scoped() {
+    for tier in TIERS {
+        // Session ids are sequential, so a foreign connection could guess
+        // them — every access must be checked against the opening
+        // connection, and a mismatch must look exactly like a missing id.
+        let handle = start_server(tier, ServerConfig::default());
+        let addr = handle.local_addr();
+        let mut owner = Client::connect(addr).unwrap();
+        let (session, _) = owner.open_session().unwrap();
+        let reply = owner.knn(session, 3, &[0.5; DIM]).unwrap();
+        assert_eq!(reply.neighbors.len(), 3);
+
+        let mut intruder = Client::connect(addr).unwrap();
+        expect_server_error(
+            intruder.knn(session, 3, &[0.5; DIM]),
+            ErrorCode::UnknownSession,
+        );
+        expect_server_error(intruder.feedback(session, &[1]), ErrorCode::UnknownSession);
+        let closed = match intruder.close_session(session) {
+            Err(ClientError::Server {
+                code: ErrorCode::UnknownSession,
+                ..
+            }) => false,
+            other => panic!("expected UnknownSession on foreign close, got {other:?}"),
+        };
+        assert!(!closed);
+
+        // The rightful owner is unaffected by the intrusion attempts.
+        let reply = owner.knn(session, 5, &[0.4; DIM]).unwrap();
+        assert_eq!(reply.neighbors.len(), 5);
+        owner.close_session(session).unwrap();
+        handle.shutdown();
+    }
+}
+
+#[test]
+fn mid_request_disconnect_does_not_poison_the_batcher() {
+    for tier in TIERS {
+        // A long max_wait: the in-flight request is still queued when its
+        // client vanishes, so the dispatcher must hit the dead reply channel.
+        let handle = start_server(
+            tier,
+            ServerConfig {
+                max_batch: 64,
+                max_wait: Duration::from_millis(100),
+                ..Default::default()
+            },
+        );
+        let addr = handle.local_addr();
+        for _ in 0..4 {
+            let mut raw = TcpStream::connect(addr).unwrap();
+            let open = fbp_server::protocol::Request::OpenSession.encode();
+            raw.write_all(&(open.len() as u32).to_le_bytes()).unwrap();
+            raw.write_all(&open).unwrap();
+            let mut header = [0u8; 4];
+            raw.read_exact(&mut header).unwrap();
+            let mut payload = vec![0u8; u32::from_le_bytes(header) as usize];
+            raw.read_exact(&mut payload).unwrap();
+            let session = match fbp_server::protocol::Response::decode(&payload).unwrap() {
+                fbp_server::protocol::Response::SessionOpened { session, .. } => session,
+                other => panic!("expected SessionOpened, got {other:?}"),
+            };
+            // Send a valid Knn, then vanish without reading the reply.
+            let knn = fbp_server::protocol::Request::Knn {
+                session,
+                k: 5,
+                query: vec![0.5; DIM],
+            }
+            .encode();
+            raw.write_all(&(knn.len() as u32).to_le_bytes()).unwrap();
+            raw.write_all(&knn).unwrap();
+            drop(raw);
+        }
+        // The batcher must still serve new traffic promptly afterwards.
+        assert_still_serving(addr);
+        handle.shutdown();
+    }
 }
 
 #[test]
 fn disconnect_drops_the_connections_sessions() {
-    let handle = start_server(ServerConfig::default());
-    let addr = handle.local_addr();
-    let session = {
-        let mut doomed = Client::connect(addr).unwrap();
-        let (session, _) = doomed.open_session().unwrap();
-        session
-    }; // connection dropped, session should follow
-    let mut client = Client::connect(addr).unwrap();
-    // The reaping happens when the connection thread notices the close;
-    // poll briefly.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        match client.knn(session, 1, &[0.5; DIM]) {
-            Err(ClientError::Server {
-                code: ErrorCode::UnknownSession,
-                ..
-            }) => break,
-            Ok(_) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(10));
+    for tier in TIERS {
+        let handle = start_server(tier, ServerConfig::default());
+        let addr = handle.local_addr();
+        let session = {
+            let mut doomed = Client::connect(addr).unwrap();
+            let (session, _) = doomed.open_session().unwrap();
+            session
+        }; // connection dropped, session should follow
+        let mut client = Client::connect(addr).unwrap();
+        // The reaping happens when the connection thread notices the close;
+        // poll briefly.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            match client.knn(session, 1, &[0.5; DIM]) {
+                Err(ClientError::Server {
+                    code: ErrorCode::UnknownSession,
+                    ..
+                }) => break,
+                Ok(_) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                other => panic!("expected the session to be dropped, got {other:?}"),
             }
-            other => panic!("expected the session to be dropped, got {other:?}"),
         }
+        handle.shutdown();
     }
-    handle.shutdown();
 }
 
 #[test]
 fn shutdown_with_live_connections_and_queued_work_is_clean() {
-    let handle = start_server(ServerConfig {
-        max_batch: 64,
-        max_wait: Duration::from_millis(50),
-        ..Default::default()
-    });
-    let addr = handle.local_addr();
-    // Leave idle connections open; shutdown must not hang on them.
-    let _idle1 = Client::connect(addr).unwrap();
-    let _idle2 = TcpStream::connect(addr).unwrap();
-    let t0 = std::time::Instant::now();
-    handle.shutdown();
-    assert!(
-        t0.elapsed() < Duration::from_secs(10),
-        "shutdown took {:?}",
-        t0.elapsed()
-    );
+    for tier in TIERS {
+        let handle = start_server(
+            tier,
+            ServerConfig {
+                max_batch: 64,
+                max_wait: Duration::from_millis(50),
+                ..Default::default()
+            },
+        );
+        let addr = handle.local_addr();
+        // Leave idle connections open; shutdown must not hang on them.
+        let _idle1 = Client::connect(addr).unwrap();
+        let _idle2 = TcpStream::connect(addr).unwrap();
+        let t0 = std::time::Instant::now();
+        handle.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "shutdown took {:?}",
+            t0.elapsed()
+        );
+    }
 }
