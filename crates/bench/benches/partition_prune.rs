@@ -15,7 +15,11 @@
 //! job runs this with `FBP_BENCH_FAST=1` and **asserts the clustered
 //! workload visits ≥ 5× fewer rows** — the acceptance floor for the
 //! partition layer; a soundness regression that silently stops pruning
-//! fails the job rather than just drifting a number.
+//! fails the job rather than just drifting a number. The clustered
+//! `F32Rescore` pass also records `rescored_per_query` — rows the f32
+//! phase 1 handed the exact rescore — and the job asserts it stays
+//! ≤ 2k: the key-relative rounding bound keeps that pool at ~k rows, and
+//! a loosened bound shows up here as a failure, not a slower number.
 //!
 //! Set `FBP_BENCH_JSON=path` for the machine-readable record
 //! (bench-smoke writes `BENCH_pr.json`).
@@ -35,6 +39,9 @@ const QUERIES: usize = 16;
 /// Acceptance floor: the clustered workload must stream at least this
 /// many times fewer rows through the pruned scan than the flat scan.
 const MIN_ROWS_REDUCTION: f64 = 5.0;
+/// Acceptance ceiling: the clustered `F32Rescore` pass may hand the
+/// exact rescore at most this many rows per query per unit of k.
+const MAX_RESCORED_PER_K: f64 = 2.0;
 
 fn scale_n() -> usize {
     if is_full() {
@@ -101,6 +108,7 @@ struct SweepPoint {
     flat_ns: f64,
     pruned_ns: f64,
     pruned_f32_ns: f64,
+    rescored_per_query: f64,
 }
 
 /// Measure one workload at one k: rows via fresh sinks (one exact pass
@@ -125,8 +133,16 @@ fn measure(
     for q in qs {
         black_box(pruned.knn_multi(&[q.as_slice()], k, dist).len());
     }
+    let f32_sink = ScanStatsSink::new();
+    let pruned_f32 = PartitionedScan::with_mode(part, ScanMode::Batched)
+        .with_precision(Precision::F32Rescore)
+        .with_scan_stats(&f32_sink);
+    for q in qs {
+        black_box(pruned_f32.knn_multi(&[q.as_slice()], k, dist).len());
+    }
     let flat_rows = flat_sink.snapshot().rows_visited;
     let pruned_stats = pruned_sink.snapshot();
+    let rescored_per_query = f32_sink.snapshot().candidates_rescored as f64 / qs.len() as f64;
 
     let flat = MultiQueryScan::with_mode(coll, ScanMode::Batched);
     let flat_ns = time_median_ns(warmup, samples, || {
@@ -157,6 +173,7 @@ fn measure(
         flat_ns,
         pruned_ns,
         pruned_f32_ns,
+        rescored_per_query,
     }
 }
 
@@ -213,7 +230,7 @@ fn main() {
         build_ms.0, build_ms.1
     );
     println!(
-        "{:<10} {:>4} {:>12} {:>12} {:>7} {:>11} {:>11} {:>9} {:>11}",
+        "{:<10} {:>4} {:>12} {:>12} {:>7} {:>11} {:>11} {:>9} {:>11} {:>9}",
         "workload",
         "k",
         "flat rows",
@@ -222,11 +239,12 @@ fn main() {
         "flat ns/q",
         "pruned ns/q",
         "speedup",
-        "f32 ns/q"
+        "f32 ns/q",
+        "rescored"
     );
     for p in &points {
         println!(
-            "{:<10} {:>4} {:>12} {:>12} {:>6.1}x {:>11.0} {:>11.0} {:>8.2}x {:>11.0}",
+            "{:<10} {:>4} {:>12} {:>12} {:>6.1}x {:>11.0} {:>11.0} {:>8.2}x {:>11.0} {:>9.1}",
             p.workload,
             p.k,
             p.flat_rows,
@@ -236,6 +254,7 @@ fn main() {
             p.pruned_ns,
             p.flat_ns / p.pruned_ns,
             p.pruned_f32_ns,
+            p.rescored_per_query,
         );
     }
 
@@ -263,6 +282,18 @@ fn main() {
             .all(|p| p.partitions_pruned > 0),
         "clustered workload must prune partitions at every swept k"
     );
+    // The rescore-pool gate: per query, the clustered F32Rescore pass
+    // rescores at most 2k rows at every swept k.
+    for p in points.iter().filter(|p| p.workload == "clustered") {
+        assert!(
+            p.rescored_per_query <= MAX_RESCORED_PER_K * p.k as f64,
+            "f32 rescore pool regressed: clustered k = {} rescored {:.1} rows per query \
+             (ceiling {:.0})",
+            p.k,
+            p.rescored_per_query,
+            MAX_RESCORED_PER_K * p.k as f64
+        );
+    }
 
     let sweep_json: Vec<String> = points
         .iter()
@@ -272,7 +303,8 @@ fn main() {
                     "{{\"workload\":\"{}\",\"k\":{},\"flat_rows\":{},\"pruned_rows\":{},",
                     "\"rows_reduction\":{:.2},\"partitions_pruned\":{},",
                     "\"flat_ns_per_query\":{:.1},\"pruned_ns_per_query\":{:.1},",
-                    "\"speedup\":{:.3},\"pruned_f32_ns_per_query\":{:.1}}}"
+                    "\"speedup\":{:.3},\"pruned_f32_ns_per_query\":{:.1},",
+                    "\"rescored_per_query\":{:.2}}}"
                 ),
                 p.workload,
                 p.k,
@@ -284,6 +316,7 @@ fn main() {
                 p.pruned_ns,
                 p.flat_ns / p.pruned_ns,
                 p.pruned_f32_ns,
+                p.rescored_per_query,
             )
         })
         .collect();

@@ -14,7 +14,7 @@
 //! component weights within a feature by the `1/σ²` rule, the feature
 //! weights by how well each feature's distance separates good matches.
 
-use super::{kernels, Distance};
+use super::{kernels, Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 
 /// A contiguous component span of one feature in the flat vector.
@@ -285,11 +285,12 @@ impl Distance for HierarchicalDistance {
         );
     }
 
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
+    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
         // The flattened form is exactly a weighted Euclidean with the
         // effective weights, so the same rounding budget applies.
         let w_max = self.effective_weights.iter().cloned().fold(0.0, f64::max);
-        super::weighted_f32_slack(dim, w_max, max_abs)
+        let w_sum = self.effective_weights.iter().sum();
+        super::weighted_f32_slack(dim, w_max, w_sum, max_abs)
     }
 
     fn eval_key_batch_f32(

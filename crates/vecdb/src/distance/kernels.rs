@@ -29,9 +29,10 @@
 //! and a given (query, row) pair gets the same f32 key from the batch,
 //! multi and one-row entry points. Unlike the f64 kernels, f32 keys are
 //! NOT bit-identical across hosts (FMA vs non-FMA) — by design: they
-//! only select candidates under a `Distance::f32_key_slack`-inflated
-//! bound that covers either variant's rounding, and the exact f64
-//! rescore makes the final answers host-independent again.
+//! only select candidates under an admission bound built from
+//! `Distance::f32_key_slack`, whose error budget covers either
+//! variant's rounding, and the exact f64 rescore makes the final answers
+//! host-independent again.
 
 /// Unroll width of the inner component loops (f64).
 pub(crate) const LANES: usize = 8;
@@ -648,8 +649,9 @@ mod f32_plain {
 //
 // f32 keys from this path differ in the last ulps from the portable
 // chain (fused multiply-add, different reduction tree) — allowed by
-// design: f32 keys only select candidates under a slack-inflated bound
-// (fusion only *shrinks* the rounding the slack budgets for), and the
+// design: f32 keys only select candidates under the rounding-bound
+// admission test (fusion only *shrinks* the rounding
+// `Distance::f32_key_slack` budgets for), and the
 // exact f64 rescore makes final answers identical on every host. The
 // `bound` argument is accepted but not used for early abandonment:
 // at the dimensionalities where this path wins, the segment check
@@ -1764,6 +1766,147 @@ mod tests {
                 assert!(*b > bound, "abandoned rows must stay over the bound");
             }
         }
+    }
+
+    /// Deterministic `[0, 1)` stream for the rounding-bound sweep.
+    fn unit_stream(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The f32 rounding bound of the weighted-squared family holds pair
+    /// by pair for the portable `f32_plain` chain (which FMA hosts never
+    /// dispatch to, so only a direct call covers it) and for the
+    /// dispatched kernels: `|key32 − key64| ≤ Δ(key64)` against the f64
+    /// kernel the rescore uses, at dims {1, 7, 8, 64, 130}, magnitudes
+    /// up to 1e3, near-coincident rows (`b = a ∓ δ`, δ down to 1e-9·M,
+    /// where input rounding dwarfs the difference and the `√κ` term
+    /// carries the bound), uniform rows, and weights with one dominant
+    /// component (`w_max / w_min ≥ 1e4`).
+    #[test]
+    fn f32_keys_stay_within_the_rounding_bound_plain_and_dispatched() {
+        let mut next = unit_stream(0x51ED_2701_C0FF_EE11);
+        let rows = 9; // row pairs plus a remainder row
+        let mut worst_ratio = 0.0f64;
+        for dim in [1usize, 7, 8, 64, 130] {
+            for m in [0.1, 1.0, 37.5, 1e3] {
+                for rel in [1e-9, 1e-7, 1e-5, 1e-3, 1e-1, f64::NAN] {
+                    let a: Vec<f64> = (0..dim)
+                        .map(|_| {
+                            let v = m * (1.0 - 0.1 * next());
+                            if next() < 0.5 {
+                                -v
+                            } else {
+                                v
+                            }
+                        })
+                        .collect();
+                    // NaN selects uniform rows in [−M, M]; otherwise rows
+                    // step inward from `a` by ~rel·M per component.
+                    let block: Vec<f64> = (0..rows * dim)
+                        .map(|i| {
+                            if rel.is_nan() {
+                                m * (2.0 * next() - 1.0)
+                            } else {
+                                let x = a[i % dim];
+                                x - x.signum() * rel * m * (0.5 + next())
+                            }
+                        })
+                        .collect();
+                    let unit = vec![1.0; dim];
+                    let spread: Vec<f64> = (0..dim).map(|_| 0.1 + 9.9 * next()).collect();
+                    let mut dominant: Vec<f64> = (0..dim).map(|_| 0.01 + 0.99 * next()).collect();
+                    dominant[(next() * dim as f64) as usize] = 1e4 + 9e4 * next();
+                    let m_all = a
+                        .iter()
+                        .chain(&block)
+                        .fold(0.0f64, |acc, v| acc.max(v.abs()));
+                    let q32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
+                    let b32: Vec<f32> = block.iter().map(|&v| v as f32).collect();
+                    for (wname, w) in [
+                        ("unit", &unit),
+                        ("spread", &spread),
+                        ("dominant", &dominant),
+                    ] {
+                        let w_max = w.iter().cloned().fold(0.0, f64::max);
+                        let w_sum: f64 = w.iter().sum();
+                        let bound = crate::distance::weighted_f32_slack(dim, w_max, w_sum, m_all)
+                            .expect("magnitudes in range");
+                        let w32: Vec<f32> = w.iter().map(|&v| v as f32).collect();
+                        let mut key64 = vec![0.0f64; rows];
+                        weighted_sq_block(w, &a, &block, dim, f64::INFINITY, &mut key64);
+                        let mut plain = vec![0.0f32; rows];
+                        f32_plain::weighted_sq_block(
+                            &w32,
+                            &q32,
+                            &b32,
+                            dim,
+                            f32::INFINITY,
+                            &mut plain,
+                        );
+                        let mut plain_multi = vec![0.0f32; rows];
+                        f32_plain::weighted_sq_multi(
+                            &w32,
+                            0,
+                            &q32,
+                            &b32,
+                            dim,
+                            &[f32::INFINITY],
+                            &mut plain_multi,
+                        );
+                        let mut dispatched = vec![0.0f32; rows];
+                        weighted_sq_block_f32(
+                            &w32,
+                            &q32,
+                            &b32,
+                            dim,
+                            f32::INFINITY,
+                            &mut dispatched,
+                        );
+                        let mut keys: Vec<(&str, &[f64], Vec<f32>)> = vec![
+                            ("plain", &key64, plain),
+                            ("plain multi", &key64, plain_multi),
+                            ("dispatched", &key64, dispatched),
+                        ];
+                        let mut l2_64 = vec![0.0f64; rows];
+                        if wname == "unit" {
+                            l2_sq_block(&a, &block, dim, f64::INFINITY, &mut l2_64);
+                            let mut l2_plain = vec![0.0f32; rows];
+                            f32_plain::l2_sq_block(&q32, &b32, dim, f32::INFINITY, &mut l2_plain);
+                            let mut l2_disp = vec![0.0f32; rows];
+                            l2_sq_block_f32(&q32, &b32, dim, f32::INFINITY, &mut l2_disp);
+                            keys.push(("l2 plain", &l2_64, l2_plain));
+                            keys.push(("l2 dispatched", &l2_64, l2_disp));
+                        }
+                        for (kname, k64, k32) in &keys {
+                            for (r, (&exact, &approx)) in k64.iter().zip(k32.iter()).enumerate() {
+                                let err = (approx as f64 - exact).abs();
+                                let allowed = bound.delta(exact);
+                                worst_ratio = worst_ratio.max(err / allowed);
+                                assert!(
+                                    err <= allowed,
+                                    "{kname} dim {dim} M {m} rel {rel} {wname} row {r}: \
+                                     |{approx} − {exact}| = {err} > Δ = {allowed}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The doubled bound keeps a real margin over what the kernels
+        // actually do (a bound that never comes near the error would
+        // also pass; this one is expected to be used to within ~2×).
+        assert!(
+            worst_ratio < 1.0 && worst_ratio > 1e-3,
+            "worst error/Δ {worst_ratio}"
+        );
+        eprintln!("worst |key32 − key64| / Δ(key64): {worst_ratio:.3}");
     }
 
     #[test]

@@ -51,14 +51,17 @@
 //! classes may additionally expose **f32 kernels**
 //! ([`Distance::eval_key_batch_f32`] / [`Distance::eval_key_multi_f32`])
 //! that filter candidates against the collection's half-width f32
-//! mirror, plus a **rounding bound** ([`Distance::f32_key_slack`]): an
-//! additive key-space slack `Δ` with `|key32(a, b) − key64(a, b)| ≤ Δ`
-//! for all vectors whose components are bounded by the given magnitude.
-//! The two-phase `Precision::F32Rescore` scan inflates its pruning
-//! threshold by `2Δ` during the f32 pass — enough to guarantee the
-//! surviving candidate set contains the true f64 top-k (see
-//! `knn::scan`) — then rescores the survivors with the exact f64
-//! kernels, so returned results are identical to a pure f64 scan.
+//! mirror, plus a **rounding bound** ([`Distance::f32_key_slack`], an
+//! [`F32KeyBound`]): a key-relative `Δ(κ) = δ₀ + α·√κ + β·κ` with
+//! `|key32(a, b) − key64(a, b)| ≤ Δ(key64)` for all vectors whose
+//! components are bounded by the given magnitude. The two-phase
+//! `Precision::F32Rescore` scan maps its running f32 threshold through
+//! [`F32KeyBound::ceiling`] (an upper bound on the true k-th key) and
+//! back through [`F32KeyBound::admit`] (the largest f32 key a row at or
+//! under that true key can carry) — enough to guarantee the surviving
+//! candidate set contains the true f64 top-k (see `knn::multi`) — then
+//! rescores the survivors with the exact f64 kernels, so returned
+//! results are identical to a pure f64 scan.
 
 mod hierarchical;
 pub(crate) mod kernels;
@@ -188,28 +191,38 @@ pub trait Distance: Send + Sync {
         }
     }
 
-    /// f32 scanning support: an additive key-space rounding bound.
+    /// f32 scanning support: a key-space rounding bound.
     ///
-    /// `Some(Δ)` certifies that for **any** pair of vectors `a, b` of
+    /// `Some(b)` certifies that for **any** pair of vectors `a, b` of
     /// length `dim` whose components all satisfy `|·| ≤ max_abs`, the
     /// f32 key this class's [`Self::eval_key_batch_f32`] computes (from
-    /// the f32-rounded inputs) differs from the exact f64 key by at most
-    /// `Δ`:
+    /// the f32-rounded inputs) differs from the f64 key
+    /// [`Self::eval_key_batch`] computes by at most `b`'s allowance at
+    /// that f64 key:
     ///
     /// ```text
-    /// |eval_key_batch_f32(a32, b32) − eval_key_batch(a, b)| ≤ Δ
+    /// |key32 − key64| ≤ Δ(key64) = δ₀ + α·√key64 + β·key64   (F32KeyBound::delta)
     /// ```
+    ///
+    /// The diagonal weighted-squared classes (Euclidean, weighted,
+    /// hierarchical) certify a **key-relative** bound: near keys get a
+    /// near-zero allowance, so phase 1 admits ~k rows instead of a band
+    /// sized for the largest key in the collection. Classes without a
+    /// key-relative analysis return [`F32KeyBound::additive`] (`α = β =
+    /// 0`, a constant worst case over the magnitude).
     ///
     /// The f32-rescore scan path relies on this bound for exactness — an
     /// understated `Δ` silently drops true neighbors — so implementations
     /// must derive it from worst-case rounding analysis of their actual
-    /// f32 kernel (the suite property-tests the inequality), and must
-    /// return `None` whenever no finite `Δ` is sound — in particular
-    /// when the worst-case key could overflow f32 to `+∞` (the internal
+    /// f32 kernels and of the f64 reference kernel (the suite
+    /// property-tests the inequality pair by pair), and must return
+    /// `None` whenever no finite bound is sound — in particular when the
+    /// worst-case key could overflow f32 to `+∞` (the internal
     /// `F32_KEY_OVERFLOW_GUARD` threshold), since a saturated `key32`
-    /// breaks the inequality by an unbounded amount. `None` — also the default, declaring "no f32
-    /// kernel" — makes scans fall back to the always-correct f64 path.
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
+    /// breaks the inequality by an unbounded amount. `None` — also the
+    /// default, declaring "no f32 kernel" — makes scans fall back to the
+    /// always-correct f64 path.
+    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
         let _ = (dim, max_abs);
         None
     }
@@ -217,8 +230,7 @@ pub trait Distance: Send + Sync {
     /// f32 variant of [`Self::eval_key_batch`]: surrogate keys for one
     /// query against a row-major **f32** block (the collection's mirror),
     /// with the same early-abandon contract in f32 key space. Only called
-    /// by the scan engines when [`Self::f32_key_slack`] returns a finite
-    /// bound; the default is a reference loop that evaluates each row
+    /// by the scan engines when [`Self::f32_key_slack`] returns a bound; the default is a reference loop that evaluates each row
     /// through the f64 key path on widened inputs (correct, but paying
     /// f64 compute — real implementations use the f32 kernels).
     fn eval_key_batch_f32(
@@ -346,6 +358,9 @@ pub(crate) fn metric_partition_lower(dqc: f64, lo: f64, hi: f64, d2qc: f64, radi
 /// Half-ulp relative rounding bound of f32 round-to-nearest.
 pub(crate) const F32_UNIT_ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
 
+/// Half-ulp relative rounding bound of f64 round-to-nearest.
+const F64_UNIT_ROUNDOFF: f64 = 1.0 / (1u64 << 53) as f64;
+
 /// Largest worst-case f32 key magnitude for which f32 scanning is
 /// offered at all. The rounding analyses below are only valid while the
 /// f32 computation stays *finite*: a key that overflows to `+∞` while
@@ -358,61 +373,320 @@ pub(crate) const F32_UNIT_ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
 /// absorbs accumulation-order overshoot.
 pub(crate) const F32_KEY_OVERFLOW_GUARD: f64 = f32::MAX as f64 / 16.0;
 
-/// Worst-case `|key32 − key64|` for the diagonal weighted-squared family
-/// (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1` and hierarchical via
-/// the flattened effective weights), at dimensionality `dim` with
-/// component magnitudes ≤ `max_abs` and weights ≤ `w_max` — or `None`
-/// when the worst-case key could overflow f32
-/// ([`F32_KEY_OVERFLOW_GUARD`]), where no finite slack is sound.
+/// Relative upward pad of [`F32KeyBound`]'s own f64 evaluation: each
+/// method is a handful of round-to-nearest operations on non-negative
+/// operands (each off by at most half an ulp, `2⁻⁵³` relative), so
+/// `16·ε = 2⁻⁴⁸` more than covers the computed value's shortfall.
+const BOUND_PAD: f64 = 16.0 * f64::EPSILON;
+
+/// `x` nudged up past the rounding of the few f64 operations that
+/// produced it (finite `x` only).
+#[inline]
+fn pad_up(x: f64) -> f64 {
+    x + x.abs() * BOUND_PAD
+}
+
+/// The key-space rounding bound of a class's f32 kernels
+/// ([`Distance::f32_key_slack`]): for every pair within the certified
+/// magnitude,
 ///
-/// Error budget (u = 2⁻²⁴, M = `max_abs`, per-component difference
-/// `d = a − b` with `|d| ≤ 2M`):
-/// input conversion + subtraction give `|d32 − d| ≤ 4.1uM`; squaring and
-/// the weight product add ≤ `29·u·w·M²` per term; f32 accumulation of
-/// `dim` terms adds ≤ `dim·u` times the term-magnitude sum
-/// (≤ `dim·4.01·w_max·M²`), for any summation order. The total is
-/// doubled as a safety margin (it also absorbs the f64 reference key's
-/// own, far smaller, rounding error).
-pub(crate) fn weighted_f32_slack(dim: usize, w_max: f64, max_abs: f64) -> Option<f64> {
+/// ```text
+/// |key32 − key64| ≤ Δ(key64),   Δ(κ) = δ₀ + α·√κ + β·κ
+/// ```
+///
+/// Scans never add `Δ` to a threshold themselves; they go through the
+/// two monotone maps below, both rounded up:
+///
+/// * [`Self::ceiling`]`(t32)` — the largest true key whose f32 key can
+///   be `≤ t32`. The `k` rows with `key32 ≤ T32` (the running f32 k-th
+///   key) each have `key64 ≤ ceiling(T32)`, so the true k-th key `K64`
+///   is at most that too.
+/// * [`Self::admit`]`(t64) = t64 + Δ(t64)` — the largest f32 key a row
+///   with `key64 ≤ t64` can carry. `t ↦ t + Δ(t)` is increasing, so
+///   every true top-k row has `key32 ≤ admit(K64) ≤ admit(min(ceiling(T32),
+///   cap))` for any sound cap on `K64`.
+///
+/// A phase-1 pass that keeps every row with `key32 ≤ admit(min(ceiling(T32),
+/// cap))` therefore keeps a superset of the true top-k, and the exact
+/// rescore returns the f64 answer bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct F32KeyBound {
+    delta0: f64,
+    alpha: f64,
+    beta: f64,
+}
+
+impl F32KeyBound {
+    /// A key-independent bound `Δ(κ) = delta` (`α = β = 0`): the form
+    /// of a worst-case analysis over the whole magnitude range. `None`
+    /// unless `delta` is finite and non-negative.
+    pub fn additive(delta: f64) -> Option<Self> {
+        Self::key_relative(delta, 0.0, 0.0)
+    }
+
+    /// `Δ(κ) = delta0 + alpha·√κ + beta·κ`. `None` unless every
+    /// coefficient is finite and non-negative and `beta < 1` (with
+    /// `β ≥ 1` an f32 key bounds no true key from above).
+    pub fn key_relative(delta0: f64, alpha: f64, beta: f64) -> Option<Self> {
+        let valid = [delta0, alpha, beta]
+            .iter()
+            .all(|c| c.is_finite() && *c >= 0.0)
+            && beta < 1.0;
+        valid.then_some(F32KeyBound {
+            delta0,
+            alpha,
+            beta,
+        })
+    }
+
+    fn is_additive(&self) -> bool {
+        self.alpha == 0.0 && self.beta == 0.0
+    }
+
+    /// `δ₀ + α·√κ + β·κ` for a finite `κ ≥ 0`, before the upward pad.
+    fn allowance(&self, key: f64) -> f64 {
+        self.delta0 + self.alpha * key.sqrt() + self.beta * key
+    }
+
+    /// `Δ(key)`: the allowance `|key32 − key64|` may reach at f64 key
+    /// `key` (rounded up; `+∞` at `key = +∞`).
+    pub fn delta(&self, key: f64) -> f64 {
+        if self.is_additive() {
+            return self.delta0;
+        }
+        if key == f64::INFINITY {
+            return key;
+        }
+        pad_up(self.allowance(key.max(0.0)))
+    }
+
+    /// `t64 + Δ(t64)`: the largest f32 key a row whose true key is
+    /// `≤ t64` can carry. Monotone, never below `t64`; `±∞` pass
+    /// through. The additive form is the single add `t64 + δ₀`.
+    pub fn admit(&self, t64: f64) -> f64 {
+        if self.is_additive() {
+            return t64 + self.delta0;
+        }
+        if !t64.is_finite() {
+            return t64;
+        }
+        pad_up(t64 + self.allowance(t64.max(0.0)))
+    }
+
+    /// The largest true key `κ` whose f32 key can be `≤ t32`, i.e. the
+    /// top of `{κ ≥ 0 : κ − Δ(κ) ≤ t32}`. In `s = √κ` that set is
+    /// `(1−β)s² − αs − (t32+δ₀) ≤ 0`, whose positive root gives
+    /// `((α + √(α² + 4(1−β)(t32+δ₀))) / (2(1−β)))²`. Monotone, never
+    /// below `t32`; `±∞` pass through. The additive form is the single
+    /// add `t32 + δ₀`.
+    pub fn ceiling(&self, t32: f64) -> f64 {
+        if self.is_additive() {
+            return t32 + self.delta0;
+        }
+        if !t32.is_finite() {
+            return t32;
+        }
+        let one_minus_beta = 1.0 - self.beta;
+        let disc = self.alpha * self.alpha + 4.0 * one_minus_beta * (t32.max(0.0) + self.delta0);
+        let s = (self.alpha + disc.sqrt()) / (2.0 * one_minus_beta);
+        pad_up(s * s)
+    }
+}
+
+/// The key-relative rounding bound of the diagonal weighted-squared
+/// family (`Σ wᵢ·(aᵢ−bᵢ)²`, covering Euclidean via `w ≡ 1` and
+/// hierarchical via the flattened effective weights), at dimensionality
+/// `dim` with component magnitudes ≤ `max_abs`, weights ≤ `w_max`
+/// summing to `w_sum` — or `None` when the worst-case key could
+/// overflow f32 ([`F32_KEY_OVERFLOW_GUARD`]), where no finite bound is
+/// sound.
+///
+/// Error budget, per component (`u` = f32 unit roundoff, `M` =
+/// `max_abs`, `κ = Σ wᵢ dᵢ²` the exact key, `dᵢ = aᵢ − bᵢ`):
+///
+/// * the inputs round to f32 (`|a32 − a| ≤ u·M`) and the subtraction
+///   rounds once, so `|d32 − d| ≤ u·|d| + c` with `c = 2u·M` — an
+///   absolute part that does **not** shrink with `|d|` (cancellation of
+///   near-coincident inputs);
+/// * `w32·d32²` then rounds at most three more times (weight, two
+///   products; FMA kernels fuse one away): the term is off by at most
+///   `5u·wd² + 2c·w|d| + c²·w`;
+/// * summing `n` non-negative terms in any order adds `(n−1)u` of the
+///   term total.
+///
+/// Summed over components, `Σ 2c·wᵢ|dᵢ| ≤ 2c·√(W·κ)` by Cauchy–Schwarz
+/// (`W = Σ wᵢ`), so
+///
+/// ```text
+/// |key32 − κ| ≤ c²·W + 2c·√W·√κ + (n+4)·u·κ      (+ O(u²) terms)
+/// ```
+///
+/// The f64 reference key is itself off from `κ` by `(n+3)·2⁻⁵³·κ`, which
+/// the `β` term absorbs by taking `u = 2⁻²⁴ + 2⁻⁵³`. The `O(u²)` cross
+/// terms are covered by the factor `1 + 2(n+5)u`, f32 underflow
+/// (gradual, ≤ 2⁻¹⁵⁰ absolute per operation) by an absolute floor in
+/// `δ₀`, and the whole bound is doubled as a safety margin, as the
+/// additive bound before it was: `δ₀ ≈ 8u²M²W`, `α ≈ 8uM√W`,
+/// `β ≈ 2(n+4)u`. For 64-d data in `[0, 1]` under unit weights that is
+/// `Δ(κ) ≈ 3.8e-6·√κ + 8.1e-6·κ`, where a worst case over the whole
+/// magnitude range (`2u·w_max·M²·n·(29 + 4.1n)`) was 4.4e-3 at every key.
+pub(crate) fn weighted_f32_slack(
+    dim: usize,
+    w_max: f64,
+    w_sum: f64,
+    max_abs: f64,
+) -> Option<F32KeyBound> {
     let n = dim as f64;
-    let m2 = max_abs * max_abs;
+    let m = max_abs;
     // Worst-case key ≤ Σ|tᵢ| ≤ n·w_max·(2.01·M)²; also covers every
-    // partial sum (non-negative terms).
-    let worst_key = n * w_max * 4.05 * m2;
+    // partial sum (non-negative terms). The weights themselves (and so
+    // the `w·d` intermediate, ≤ max(w, key)) must stay finite in f32 too.
+    let worst_key = n * w_max * 4.05 * m * m;
     // `!(x <= guard)` deliberately catches NaN as well as overflow.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(worst_key <= F32_KEY_OVERFLOW_GUARD) {
+    if !(worst_key <= F32_KEY_OVERFLOW_GUARD && w_max <= F32_KEY_OVERFLOW_GUARD) {
         return None;
     }
-    let u = F32_UNIT_ROUNDOFF;
-    Some(2.0 * u * w_max * m2 * n * (29.0 + 4.1 * n))
+    let u = F32_UNIT_ROUNDOFF + F64_UNIT_ROUNDOFF;
+    let g = (n + 5.0) * u;
+    if g > 1.0 / 64.0 {
+        // ~260k dimensions, far past any collection this crate serves:
+        // beyond it the `1 + 2g` factor below no longer covers the
+        // second-order growth of the accumulation error. f64 path.
+        return None;
+    }
+    let higher_order = 1.0 + 2.0 * g;
+    // Per-component absolute error of d32, with f32 underflow of the two
+    // inputs (≤ 2⁻¹⁵⁰ each).
+    let c = 2.0 * u * m + f64::powi(2.0, -149);
+    // Underflow of one term's product chain (weight, products, fused
+    // add): ≤ 2⁻¹⁵⁰·(2 + 2.02M + 1.01w + 4.05M²) ≤ 2⁻¹⁴⁷·(1 + M + w + M²).
+    let underflow = n * f64::powi(2.0, -147) * (1.0 + m + w_max + m * m);
+    let margin = 2.0 * higher_order;
+    F32KeyBound::key_relative(
+        margin * (c * c * w_sum + underflow),
+        margin * 2.0 * c * w_sum.sqrt(),
+        margin * (n + 4.0) * u,
+    )
 }
 
 #[cfg(test)]
 mod slack_tests {
     use super::*;
 
+    /// Unit-weight bound at `dim`, magnitude `m`.
+    fn unit(dim: usize, m: f64) -> F32KeyBound {
+        weighted_f32_slack(dim, 1.0, dim as f64, m).unwrap()
+    }
+
     #[test]
     fn weighted_slack_is_positive_and_scales() {
-        let s = weighted_f32_slack(64, 3.0, 1.0).unwrap();
-        assert!(s > 0.0 && s.is_finite());
-        // More components, bigger weights, bigger values ⇒ looser bound.
-        assert!(weighted_f32_slack(128, 3.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 6.0, 1.0).unwrap() > s);
-        assert!(weighted_f32_slack(64, 3.0, 2.0).unwrap() > s);
-        // Degenerate all-zero data ⇒ zero slack (keys are exactly 0).
-        assert_eq!(weighted_f32_slack(64, 3.0, 0.0), Some(0.0));
+        let b = weighted_f32_slack(64, 3.0, 96.0, 1.0).unwrap();
+        for key in [0.0, 1e-6, 0.3, 7.0, 4e3] {
+            let d = b.delta(key);
+            assert!(d > 0.0 && d.is_finite(), "key {key}");
+            // More components, bigger weights, bigger values ⇒ looser
+            // bound at the same key.
+            assert!(weighted_f32_slack(128, 3.0, 192.0, 1.0).unwrap().delta(key) > d);
+            assert!(weighted_f32_slack(64, 6.0, 192.0, 1.0).unwrap().delta(key) > d);
+            assert!(weighted_f32_slack(64, 3.0, 96.0, 2.0).unwrap().delta(key) > d);
+            // Larger keys get a larger allowance.
+            assert!(b.delta(key * 2.0 + 1.0) > d);
+        }
+        // Degenerate all-zero data: keys are exactly 0 and the bound at
+        // key 0 is only the underflow floor.
+        let z = weighted_f32_slack(64, 3.0, 96.0, 0.0).unwrap();
+        assert!(z.delta(0.0) < 1e-40);
+    }
+
+    #[test]
+    fn bound_is_key_relative_and_far_below_the_worst_case() {
+        // 64-d data in [0, 1], unit weights: the allowance near a small
+        // key is orders of magnitude under the old worst case over the
+        // whole magnitude range (2u·M²·n·(29 + 4.1n) ≈ 4.4e-3).
+        let worst = 2.0 * F32_UNIT_ROUNDOFF * 64.0 * (29.0 + 4.1 * 64.0);
+        let b = unit(64, 1.0);
+        assert!(b.delta(0.05) < worst / 1000.0);
+        assert!(b.delta(1.0) < worst / 100.0);
+        // The coefficients the derivation names: α ≈ 8uM√W, β ≈ 2(n+4)u,
+        // δ₀ ≈ 8u²M²W (within the higher-order factor).
+        let u = F32_UNIT_ROUNDOFF;
+        assert!((b.alpha / (8.0 * u * 8.0) - 1.0).abs() < 0.01);
+        assert!((b.beta / (2.0 * 68.0 * u) - 1.0).abs() < 0.01);
+        assert!((b.delta0 / (8.0 * u * u * 64.0) - 1.0).abs() < 0.01);
     }
 
     #[test]
     fn slack_refused_when_f32_keys_could_overflow() {
         // Component magnitudes ~1e18 drive 64-d weighted keys toward
         // f32::MAX, where |key32 − key64| ≤ Δ no longer holds (key32
-        // saturates to +∞). No finite slack is sound there.
-        assert_eq!(weighted_f32_slack(64, 1.0, 1e18), None);
-        assert_eq!(weighted_f32_slack(64, 1e6, 1e16), None);
+        // saturates to +∞). No finite bound is sound there.
+        assert_eq!(weighted_f32_slack(64, 1.0, 64.0, 1e18), None);
+        assert_eq!(weighted_f32_slack(64, 1e6, 64e6, 1e16), None);
+        // Weights beyond f32 range are refused even on all-zero data.
+        assert_eq!(weighted_f32_slack(4, 1e38, 4e38, 0.0), None);
         // Ordinary magnitudes stay eligible.
-        assert!(weighted_f32_slack(64, 10.0, 1e3).is_some());
+        assert!(weighted_f32_slack(64, 10.0, 640.0, 1e3).is_some());
+    }
+
+    #[test]
+    fn ceiling_and_admit_are_monotone_and_never_below_their_argument() {
+        let bounds = [
+            unit(1, 1.0),
+            unit(64, 1.0),
+            unit(130, 1e3),
+            weighted_f32_slack(8, 1e4, 1e4 + 7.0, 3.0).unwrap(),
+            F32KeyBound::additive(4.4e-3).unwrap(),
+            F32KeyBound::key_relative(0.0, 0.0, 0.0).unwrap(),
+        ];
+        let mut ts: Vec<f64> = vec![0.0, f64::MIN_POSITIVE, 1e-300];
+        let mut t = 1e-12;
+        while t < 1e12 {
+            ts.push(t);
+            ts.push(t * 1.000_000_1);
+            t *= 3.7;
+        }
+        ts.sort_by(f64::total_cmp);
+        for b in bounds {
+            let (mut prev_c, mut prev_a) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+            for &t in &ts {
+                let (c, a) = (b.ceiling(t), b.admit(t));
+                assert!(c >= t && a >= t, "{b:?} at {t}: ceiling {c}, admit {a}");
+                assert!(c >= prev_c && a >= prev_a, "{b:?} not monotone at {t}");
+                // ceiling is tight (a true key at the ceiling can carry
+                // an f32 key of t) and sound (any true key above it
+                // carries an f32 key above t).
+                assert!(c - b.delta(c) <= t + c * 1e-12, "{b:?} at {t}");
+                let above = c * (1.0 + 1e-9) + 1e-300;
+                assert!(above - b.delta(above) > t, "{b:?} at {t}");
+                (prev_c, prev_a) = (c, a);
+            }
+            assert_eq!(b.ceiling(f64::INFINITY), f64::INFINITY);
+            assert_eq!(b.admit(f64::INFINITY), f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn additive_form_reproduces_the_single_slack_add() {
+        let delta = 4.4e-3;
+        let b = F32KeyBound::additive(delta).unwrap();
+        for t in [0.0, 1e-9, 0.37, 1.0, 12.5, 3e7] {
+            // Each map is exactly the one add the scans used to spell out
+            // (`threshold + Δ`), so the phase-1 bound admit(ceiling(t)) is
+            // the old `threshold + 2Δ`, to the rounding of that add.
+            assert_eq!(b.ceiling(t), t + delta);
+            assert_eq!(b.admit(t), t + delta);
+            assert_eq!(b.delta(t), delta);
+            let old = t + 2.0 * delta;
+            let new = b.admit(b.ceiling(t));
+            assert!(
+                (new - old).abs() <= old * f64::EPSILON,
+                "t {t}: {new} vs {old}"
+            );
+        }
+        assert_eq!(F32KeyBound::additive(f64::INFINITY), None);
+        assert_eq!(F32KeyBound::additive(-1.0), None);
+        assert_eq!(F32KeyBound::key_relative(0.0, 0.0, 1.0), None);
     }
 }
 

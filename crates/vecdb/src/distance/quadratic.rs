@@ -9,7 +9,7 @@
 //! norm"). Positive definiteness is certified at construction by a
 //! Cholesky factorization, which also evaluates the form as `‖Lᵀ·x‖²`.
 
-use super::Distance;
+use super::{Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 use fbp_linalg::{Cholesky, Matrix};
 
@@ -292,7 +292,7 @@ impl Distance for QuadraticDistance {
     /// difference rounding, f32 dot-product accumulation), then of its
     /// square and the final sum — all against worst-case magnitudes
     /// (`|diff| ≤ 2M`, `|L| ≤ l_max`), doubled as a safety margin.
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
+    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
         let u = super::F32_UNIT_ROUNDOFF;
         let n = dim as f64;
         let m = max_abs;
@@ -315,7 +315,8 @@ impl Distance for QuadraticDistance {
         // accumulation of n squares.
         let per_sq = u * y_hi * y_hi + 2.1 * e_y * y_hi;
         let accum = n * u * n * y_hi * y_hi;
-        Some(2.0 * (n * per_sq + accum))
+        // A worst case over the whole magnitude range: the additive form.
+        F32KeyBound::additive(2.0 * (n * per_sq + accum))
     }
 
     fn eval_key_batch_f32(

@@ -5,7 +5,7 @@
 //! L2W(p, q; W) = ( Σᵢ wᵢ·(pᵢ − qᵢ)² )^½ ,   wᵢ > 0
 //! ```
 
-use super::{kernels, Distance};
+use super::{kernels, Distance, F32KeyBound};
 use crate::{Result, VecdbError};
 
 /// Weighted Euclidean distance with strictly positive per-component
@@ -19,6 +19,8 @@ pub struct WeightedEuclidean {
     weights_f32: Vec<f32>,
     min_w: f64,
     max_w: f64,
+    /// `Σ wᵢ`, the Cauchy–Schwarz factor of the f32 rounding bound.
+    sum_w: f64,
 }
 
 impl WeightedEuclidean {
@@ -34,12 +36,14 @@ impl WeightedEuclidean {
         }
         let min_w = weights.iter().cloned().fold(f64::INFINITY, f64::min);
         let max_w = weights.iter().cloned().fold(0.0, f64::max);
+        let sum_w = weights.iter().sum();
         let weights_f32 = weights.iter().map(|&w| w as f32).collect();
         Ok(WeightedEuclidean {
             weights,
             weights_f32,
             min_w,
             max_w,
+            sum_w,
         })
     }
 
@@ -50,6 +54,7 @@ impl WeightedEuclidean {
             weights_f32: vec![1.0; dim],
             min_w: 1.0,
             max_w: 1.0,
+            sum_w: dim as f64,
         }
     }
 
@@ -160,8 +165,8 @@ impl Distance for WeightedEuclidean {
         kernels::weighted_sq_multi_block(&self.weights, 0, queries, block, dim, bounds, out);
     }
 
-    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<f64> {
-        super::weighted_f32_slack(dim, self.max_w, max_abs)
+    fn f32_key_slack(&self, dim: usize, max_abs: f64) -> Option<F32KeyBound> {
+        super::weighted_f32_slack(dim, self.max_w, self.sum_w, max_abs)
     }
 
     fn eval_key_batch_f32(

@@ -38,7 +38,7 @@ pub use stats::{ScanStats, ScanStatsSink};
 pub use vptree::VpTree;
 
 use crate::collection::Collection;
-use crate::distance::Distance;
+use crate::distance::{Distance, F32KeyBound};
 
 /// Numeric precision of the scan engines' candidate filtering.
 ///
@@ -50,9 +50,11 @@ use crate::distance::Distance;
 /// * [`Precision::F32Rescore`] — two phases. Phase 1 streams the
 ///   collection's f32 mirror (half the bytes; the scans are
 ///   memory-bandwidth-bound at low query counts) through the f32 kernels,
-///   early-abandoning against the running k-best threshold inflated by
-///   `2 × Distance::f32_key_slack` — enough to guarantee the surviving
-///   candidates contain the true f64 top-k. Phase 2 rescores the
+///   early-abandoning against the running k-best threshold mapped
+///   through the class's rounding bound ([`Distance::f32_key_slack`]:
+///   `admit(ceiling(T32))`, for the weighted-squared classes a few
+///   parts per million above the k-th key) — enough to guarantee the
+///   surviving candidates contain the true f64 top-k. Phase 2 rescores the
 ///   survivors from the f64 buffer with the exact kernels, so the
 ///   returned indices *and* distances are identical to an [`Precision::F64`]
 ///   scan. Requires the collection's mirror
@@ -86,6 +88,20 @@ pub(crate) fn f32_bound_up(bound: f64) -> f32 {
         b.next_up()
     } else {
         b
+    }
+}
+
+/// Query-side phase-1 admission bound of the f32 paths, in f32-key
+/// space: `admit(min(ceiling(T32), cap))` for the k-best's running f32
+/// threshold `T32` and the caller's sound cap on the true k-th key (see
+/// [`F32KeyBound`] for why no true top-k row can carry a larger f32
+/// key); `−∞` for `k = 0`, which collects nothing.
+#[inline]
+pub(crate) fn phase1_bound(bound: &F32KeyBound, kb: &KBest, cap: f64) -> f64 {
+    if kb.k == 0 {
+        f64::NEG_INFINITY
+    } else {
+        bound.admit(bound.ceiling(kb.threshold()).min(cap))
     }
 }
 

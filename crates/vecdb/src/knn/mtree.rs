@@ -20,7 +20,7 @@
 
 use super::{f32_bound_up, lower_factor, KBest, KnnEngine, Neighbor, SearchStats};
 use crate::collection::Collection;
-use crate::distance::{Distance, Euclidean};
+use crate::distance::{Distance, Euclidean, F32KeyBound};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -359,12 +359,13 @@ impl<'a> MTree<'a> {
     /// mirror and the class certifies a rounding bound
     /// ([`Distance::f32_key_slack`]), the gathered block is the **f32
     /// mirror** rows and the batch runs through
-    /// [`Distance::eval_key_batch_f32`] against the slack-inflated
-    /// threshold — half the gathered bytes — with the few survivors
-    /// rescored exactly in f64 before insertion, so answers stay
-    /// bit-identical to the pure f64 leaf path (same guarantee as the
-    /// flat scan's two-phase mode: any row with `key64 ≤ τ` has
-    /// `key32 ≤ τ + Δ` and therefore survives phase 1). Pruning bounds
+    /// [`Distance::eval_key_batch_f32`] against `admit(τ)` for the
+    /// running (exact, f64) threshold `τ` — half the gathered bytes —
+    /// with the few survivors rescored exactly in f64 before insertion,
+    /// so answers stay bit-identical to the pure f64 leaf path (same
+    /// guarantee as the flat scan's two-phase mode: any row with
+    /// `key64 ≤ τ` has `key32 ≤ key64 + Δ(key64) ≤ admit(τ)` and
+    /// therefore survives phase 1). Pruning bounds
     /// stay in true-distance (Euclidean) space and compare against
     /// `finish_key(kb.threshold())` — one root per node, not per
     /// candidate.
@@ -385,14 +386,12 @@ impl<'a> MTree<'a> {
         let mut gather_ids: Vec<u32> = Vec::with_capacity(self.cfg.max_entries);
         let mut keys: Vec<f64> = vec![0.0; self.cfg.max_entries + 1];
         // f32 mirror leaf path: query rounded once, plus the certified
-        // key-space slack (None ⇔ no mirror, no f32 kernel, or an
-        // unbounded/overflowing slack — leaves then gather f64).
-        let f32_leaf: Option<(Vec<f32>, f64)> = self.coll.max_abs().and_then(|m_coll| {
+        // key-space rounding bound (None ⇔ no mirror, no f32 kernel, or
+        // an overflowing magnitude — leaves then gather f64).
+        let f32_leaf: Option<(Vec<f32>, F32KeyBound)> = self.coll.max_abs().and_then(|m_coll| {
             let m = query.iter().fold(m_coll, |m, &v| m.max(v.abs()));
-            let slack = dist.f32_key_slack(dim, m)?;
-            slack
-                .is_finite()
-                .then(|| (query.iter().map(|&v| v as f32).collect(), slack))
+            let key_bound = dist.f32_key_slack(dim, m)?;
+            Some((query.iter().map(|&v| v as f32).collect(), key_bound))
         });
         let mut gather32: Vec<f32> = Vec::new();
         let mut keys32: Vec<f32> = Vec::new();
@@ -440,9 +439,9 @@ impl<'a> MTree<'a> {
                     // d₂(q,o) ≥ |d₂(q, router) − d₂(o, router)|; survivors
                     // are gathered into one contiguous block.
                     gather_ids.clear();
-                    if let Some((q32, slack)) = &f32_leaf {
-                        // Mirror path: gather f32 rows, filter against the
-                        // slack-inflated bound, rescore survivors exactly.
+                    if let Some((q32, key_bound)) = &f32_leaf {
+                        // Mirror path: gather f32 rows, filter against
+                        // admit(threshold), rescore survivors exactly.
                         gather32.clear();
                         for e in entries {
                             if lo > 0.0 && item.d2_router.is_finite() {
@@ -461,7 +460,7 @@ impl<'a> MTree<'a> {
                         }
                         let n = gather_ids.len();
                         let bound = kb.threshold();
-                        let bound32 = f32_bound_up(bound + slack);
+                        let bound32 = f32_bound_up(key_bound.admit(bound));
                         dist.eval_key_batch_f32(q32, &gather32, dim, bound32, &mut keys32[..n]);
                         stats.distance_evals += n as u64;
                         for (&oid, &key32) in gather_ids.iter().zip(keys32[..n].iter()) {
@@ -677,7 +676,7 @@ mod tests {
         b.build()
     }
 
-    /// The mirrored leaf path (f32 gather + slack filter + exact
+    /// The mirrored leaf path (f32 gather + admission filter + exact
     /// rescore) answers bit-identically to the flat f64 oracle — and to
     /// the same tree without a mirror.
     #[test]

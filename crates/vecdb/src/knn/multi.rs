@@ -34,22 +34,39 @@
 //!
 //! With [`Precision::F32Rescore`] (and a collection carrying its f32
 //! mirror) the kernel-path modes run **two phases**: phase 1 streams the
-//! mirror through the f32 kernels with per-query pruning bounds inflated
-//! by twice the distance class's rounding slack, collecting every row
-//! whose f32 key lands under the inflated bound; phase 2 rescores those
-//! candidates from the f64 buffer with the exact kernels. The inflation
-//! makes the candidate set a guaranteed superset of the true f64 top-k
-//! (see the proof sketch on [`MultiQueryScan::scan_range_shared_f32`]),
-//! so results remain bit-identical to the pure-f64 scan while the bulk
-//! of the pass moves half the bytes.
+//! mirror through the f32 kernels, collecting every row whose f32 key
+//! lands under its query's admission bound; phase 2 rescores those
+//! candidates from the f64 buffer with the exact kernels.
+//!
+//! The admission bound comes from the class's key-relative rounding
+//! bound ([`Distance::f32_key_slack`], an [`F32KeyBound`]):
+//! `|key32 − key64| ≤ Δ(key64) = δ₀ + α·√key64 + β·key64`. For the
+//! weighted-squared classes `α` is the input-rounding term
+//! (`4u·M·Σ|dᵢ|wᵢ ≤ 4u·M·√(W·κ)` by Cauchy–Schwarz), `β ≈ (n+4)·u` the
+//! squaring, weight product and accumulation, `δ₀` a floor of order
+//! `u²M²W`, all doubled as a safety margin — so near the k-th key the
+//! allowance is a few parts per million of the key, not a band sized for
+//! the largest key in the collection. Per query, with `T32` the running
+//! f32 k-th key and `cap` a sound cap on the true k-th key `K64`, the
+//! bound is `admit(min(ceiling(T32), cap))`:
+//!
+//! * the k rows with `key32 ≤ T32` each have `key64 ≤ ceiling(T32)`, so
+//!   `K64 ≤ min(ceiling(T32), cap)`;
+//! * every true top-k row has `key32 ≤ key64 + Δ(key64) = admit(key64)
+//!   ≤ admit(K64)`, because `admit` is increasing.
+//!
+//! The candidate set is therefore a guaranteed superset of the true f64
+//! top-k (details on [`MultiQueryScan::scan_range_shared_f32`]), so
+//! results remain bit-identical to the pure-f64 scan while the bulk of
+//! the pass moves half the bytes and the rescore touches ~k rows.
 
 use super::stats::{ScanStats, ScanStatsSink};
 use super::{
-    f32_bound_up, finish_entries, rescore_f64_keyed, scan_threads, KBest, Neighbor, Precision,
-    ScanMode, SearchStats, BLOCK_ROWS, PARALLEL_CUTOFF,
+    f32_bound_up, finish_entries, phase1_bound, rescore_f64_keyed, scan_threads, KBest, Neighbor,
+    Precision, ScanMode, SearchStats, BLOCK_ROWS, PARALLEL_CUTOFF,
 };
 use crate::collection::Collection;
-use crate::distance::{kernels, Distance, WeightedEuclidean};
+use crate::distance::{kernels, Distance, F32KeyBound, WeightedEuclidean};
 
 /// Keyed (pre-[`Distance::finish_key`]) results of one multi-query
 /// pass: one ascending `(value, index)` k-best per query, plus whether
@@ -162,11 +179,15 @@ impl<'a> MultiQueryScan<'a> {
         self.precision
     }
 
-    /// The key-space rounding slack of an f32 phase-1 under `dist`, when
+    /// The key-space rounding bound of an f32 phase-1 under `dist`, when
     /// every precondition for the two-phase scan holds: `F32Rescore`
     /// requested, mirror present, class exposes an f32 kernel with a
-    /// finite bound for this data/query magnitude.
-    pub(crate) fn f32_slack(&self, dist: &dyn Distance, queries: &[&[f64]]) -> Option<f64> {
+    /// bound for this data/query magnitude.
+    pub(crate) fn f32_key_bound(
+        &self,
+        dist: &dyn Distance,
+        queries: &[&[f64]],
+    ) -> Option<F32KeyBound> {
         if self.precision != Precision::F32Rescore {
             return None;
         }
@@ -175,8 +196,7 @@ impl<'a> MultiQueryScan<'a> {
             .iter()
             .flat_map(|q| q.iter())
             .fold(m_coll, |m, &v| m.max(v.abs()));
-        let slack = dist.f32_key_slack(self.coll.dim(), m)?;
-        slack.is_finite().then_some(slack)
+        dist.f32_key_slack(self.coll.dim(), m)
     }
 
     /// The mode Auto resolves to for `nq` concurrent queries: total work
@@ -262,8 +282,8 @@ impl<'a> MultiQueryScan<'a> {
         self.record_seeded_pass(caps);
         let mode = self.effective_mode(queries.len());
         if mode != ScanMode::Scalar {
-            if let Some(slack) = self.f32_slack(dist, queries) {
-                return self.knn_multi_f32_keyed(queries, ks, dist, slack, mode, caps);
+            if let Some(bound) = self.f32_key_bound(dist, queries) {
+                return self.knn_multi_f32_keyed(queries, ks, dist, bound, mode, caps);
             }
         }
         let (kbs, finished) = match mode {
@@ -314,35 +334,15 @@ impl<'a> MultiQueryScan<'a> {
         queries: &[&[f64]],
         ks: &[usize],
         dist: &dyn Distance,
-        slack: f64,
+        bound: F32KeyBound,
         mode: ScanMode,
         caps: Option<&[f64]>,
     ) -> KeyedResults {
         let flat32 = flatten_f32(queries);
-        let slacks = vec![slack; ks.len()];
-        let cands = match mode {
-            ScanMode::Batched => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); ks.len()];
-                self.scan_range_shared_f32(
-                    &flat32,
-                    dist,
-                    slack,
-                    ks,
-                    0..self.coll.len(),
-                    &mut kbs,
-                    &mut cands,
-                    caps,
-                );
-                filter_candidates(&kbs, &slacks, cands, caps, self.stats)
-            }
-            ScanMode::Parallel => {
-                self.parallel_candidates(ks, &slacks, caps, &|range, kbs, cands| {
-                    self.scan_range_shared_f32(&flat32, dist, slack, ks, range, kbs, cands, caps)
-                })
-            }
-            _ => unreachable!("f32 path only runs in kernel modes"),
-        };
+        let (kbs, cands) = self.phase1_candidates(ks, mode, &|range, kbs, cands| {
+            self.scan_range_shared_f32(&flat32, dist, bound, range, kbs, cands, caps)
+        });
+        let cands = filter_candidates(&kbs, &vec![bound; ks.len()], cands, caps, self.stats);
         KeyedResults {
             entries: queries
                 .iter()
@@ -438,10 +438,12 @@ impl<'a> MultiQueryScan<'a> {
             // All-or-nothing: the f32 pass engages only when *every*
             // request's metric certifies a rounding bound, so the block
             // loop reads exactly one of the two buffers.
-            let slacks: Option<Vec<f64>> =
-                dists.iter().map(|d| self.f32_slack(*d, queries)).collect();
-            if let Some(slacks) = slacks {
-                return self.knn_per_query_f32_keyed(queries, dists, ks, &slacks, mode, caps);
+            let bounds: Option<Vec<F32KeyBound>> = dists
+                .iter()
+                .map(|d| self.f32_key_bound(*d, queries))
+                .collect();
+            if let Some(bounds) = bounds {
+                return self.knn_per_query_f32_keyed(queries, dists, ks, &bounds, mode, caps);
             }
         }
         let (kbs, finished) = match mode {
@@ -547,11 +549,11 @@ impl<'a> MultiQueryScan<'a> {
         }
         self.record_seeded_pass(caps);
         // All-or-nothing f32 eligibility, exactly like the generic path.
-        let slacks: Option<Vec<f64>> = metrics
+        let bounds: Option<Vec<F32KeyBound>> = metrics
             .iter()
-            .map(|&m| self.f32_slack(m, queries))
+            .map(|&m| self.f32_key_bound(m, queries))
             .collect();
-        if let Some(slacks) = slacks {
+        if let Some(bounds) = bounds {
             let flat_q32 = flatten_f32(queries);
             let flat_w32: Vec<f32> = metrics
                 .iter()
@@ -579,11 +581,7 @@ impl<'a> MultiQueryScan<'a> {
                             .zip(kbs.iter())
                             .enumerate()
                         {
-                            *b64 = if ks[q] == 0 {
-                                f64::NEG_INFINITY
-                            } else {
-                                kb.threshold().min(cap_of(caps, q)) + 2.0 * slacks[q]
-                            };
+                            *b64 = phase1_bound(&bounds[q], kb, cap_of(caps, q));
                             *b32 = f32_bound_up(*b64);
                         }
                         kernels::weighted_sq_multi_block_f32(
@@ -611,16 +609,8 @@ impl<'a> MultiQueryScan<'a> {
                     }
                     self.record_stats(tally);
                 };
-            let cands = match mode {
-                ScanMode::Batched => {
-                    let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                    let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-                    scan_chunk(0..self.coll.len(), &mut kbs, &mut cands);
-                    filter_candidates(&kbs, &slacks, cands, caps, self.stats)
-                }
-                ScanMode::Parallel => self.parallel_candidates(ks, &slacks, caps, &scan_chunk),
-                _ => unreachable!("f32 path only runs in kernel modes"),
-            };
+            let (kbs, cands) = self.phase1_candidates(ks, mode, &scan_chunk);
+            let cands = filter_candidates(&kbs, &bounds, cands, caps, self.stats);
             return KeyedResults {
                 entries: queries
                     .iter()
@@ -692,14 +682,14 @@ impl<'a> MultiQueryScan<'a> {
         }
     }
 
-    /// Two-phase per-query-metric scan (each query's own slack/kernels),
+    /// Two-phase per-query-metric scan (each query's own bound/kernels),
     /// results still in key space.
     fn knn_per_query_f32_keyed(
         &self,
         queries: &[&[f64]],
         dists: &[&dyn Distance],
         ks: &[usize],
-        slacks: &[f64],
+        bounds: &[F32KeyBound],
         mode: ScanMode,
         caps: Option<&[f64]>,
     ) -> KeyedResults {
@@ -707,29 +697,10 @@ impl<'a> MultiQueryScan<'a> {
             .iter()
             .map(|q| q.iter().map(|&v| v as f32).collect())
             .collect();
-        let cands = match mode {
-            ScanMode::Batched => {
-                let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); ks.len()];
-                self.scan_range_per_query_f32(
-                    &q32s,
-                    dists,
-                    slacks,
-                    ks,
-                    0..self.coll.len(),
-                    &mut kbs,
-                    &mut cands,
-                    caps,
-                );
-                filter_candidates(&kbs, slacks, cands, caps, self.stats)
-            }
-            ScanMode::Parallel => {
-                self.parallel_candidates(ks, slacks, caps, &|range, kbs, cands| {
-                    self.scan_range_per_query_f32(&q32s, dists, slacks, ks, range, kbs, cands, caps)
-                })
-            }
-            _ => unreachable!("f32 path only runs in kernel modes"),
-        };
+        let (kbs, cands) = self.phase1_candidates(ks, mode, &|range, kbs, cands| {
+            self.scan_range_per_query_f32(&q32s, dists, bounds, range, kbs, cands, caps)
+        });
+        let cands = filter_candidates(&kbs, bounds, cands, caps, self.stats);
         KeyedResults {
             entries: queries
                 .iter()
@@ -795,32 +766,31 @@ impl<'a> MultiQueryScan<'a> {
     }
 
     /// Shared-metric f32 phase-1 over one contiguous index range of the
-    /// mirror: per-query bounds inflated by `2·slack`, every row whose
-    /// f32 key lands under its query's inflated bound recorded in that
-    /// query's candidate list (`kbs` tracks f32 keys only to tighten the
-    /// bounds as the pass advances).
+    /// mirror: every row whose f32 key lands under its query's admission
+    /// bound `admit(min(ceiling(T), cap))` (from the class's
+    /// [`F32KeyBound`]) is recorded in that query's candidate list
+    /// (`kbs` tracks f32 keys only to tighten the bounds as the pass
+    /// advances).
     ///
-    /// Why `2·slack` suffices (per query; `τ64` = the k-th smallest true
-    /// f64 key, `τ32` = the k-th smallest f32 key, `Δ` = slack):
-    /// every row obeys `|key32 − key64| ≤ Δ`, so a true top-k row has
-    /// `key32 ≤ τ64 + Δ`, and the k rows realizing `τ64` witness
-    /// `τ32 ≤ τ64 + Δ ⇒ τ64 ≥ τ32 − Δ`… combined: a true top-k row
-    /// (ties included) always has `key32 ≤ τ32 + 2Δ`. The running
-    /// threshold is the k-th best f32 key *pushed so far*, which can
-    /// never undershoot `τ32`, so the per-block bound
-    /// `threshold + 2Δ ≥ τ32 + 2Δ` keeps every such row: its monotone
-    /// f32 prefix sums never exceed its final `key32 ≤ bound`, so the
-    /// kernel cannot abandon it, and the `key32 ≤ bound` filter admits
-    /// it into `cands` (with its f32 key, so [`filter_candidates`] can
-    /// re-apply the same test against the *final* — tightest — threshold
-    /// before the rescore pays any scattered f64 reads).
+    /// Why that bound keeps every true top-k row (per query; `τ32` = the
+    /// k-th smallest f32 key, `K64` = the k-th smallest true f64 key):
+    /// the running threshold `T` is the k-th best f32 key *pushed so
+    /// far*, which never undershoots `τ32`, and the k rows realizing
+    /// `τ32` each have `key64 ≤ ceiling(τ32) ≤ ceiling(T)`, so
+    /// `K64 ≤ min(ceiling(T), cap)`. A true top-k row (ties included)
+    /// has `key32 ≤ admit(key64) ≤ admit(K64)`, both maps being
+    /// increasing, so it sits under the bound: its monotone f32 prefix
+    /// sums never exceed its final `key32`, so the kernel cannot abandon
+    /// it, and the `key32 ≤ bound` filter admits it into `cands` (with
+    /// its f32 key, so [`filter_candidates`] can re-apply the same test
+    /// against the *final* — tightest — threshold before the rescore
+    /// pays any scattered f64 reads).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_range_shared_f32(
         &self,
         flat_q32: &[f32],
         dist: &dyn Distance,
-        slack: f64,
-        ks: &[usize],
+        bound: F32KeyBound,
         rows: std::ops::Range<usize>,
         kbs: &mut [KBest],
         cands: &mut [Vec<(u32, f32)>],
@@ -841,20 +811,13 @@ impl<'a> MultiQueryScan<'a> {
                 .coll
                 .block_f32(start, end)
                 .expect("f32 path requires the mirror");
-            for (q, ((b64, b32), (kb, &k))) in bounds64
+            for (q, ((b64, b32), kb)) in bounds64
                 .iter_mut()
                 .zip(bounds32.iter_mut())
-                .zip(kbs.iter().zip(ks.iter()))
+                .zip(kbs.iter())
                 .enumerate()
             {
-                // k = 0 collects nothing (an empty result needs no
-                // candidates; KBest's idle threshold would otherwise
-                // admit every row).
-                *b64 = if k == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    kb.threshold().min(cap_of(caps, q)) + 2.0 * slack
-                };
+                *b64 = phase1_bound(&bound, kb, cap_of(caps, q));
                 *b32 = f32_bound_up(*b64);
             }
             dist.eval_key_multi_f32(flat_q32, block, dim, &bounds32, &mut keys[..nq * n]);
@@ -877,15 +840,14 @@ impl<'a> MultiQueryScan<'a> {
 
     /// Per-query-metric f32 phase-1: one shared mirror-block read, one
     /// f32 batch kernel call per (query, block), each query pruned by
-    /// its own `2·slack`-inflated bound (same containment argument as
+    /// its own class's admission bound (same containment argument as
     /// [`Self::scan_range_shared_f32`], per query).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_range_per_query_f32(
         &self,
         q32s: &[Vec<f32>],
         dists: &[&dyn Distance],
-        slacks: &[f64],
-        ks: &[usize],
+        bounds: &[F32KeyBound],
         rows: std::ops::Range<usize>,
         kbs: &mut [KBest],
         cands: &mut [Vec<(u32, f32)>],
@@ -910,11 +872,7 @@ impl<'a> MultiQueryScan<'a> {
                 .zip(kbs.iter_mut().zip(cands.iter_mut()))
                 .enumerate()
             {
-                let bound64 = if ks[q] == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    kb.threshold().min(cap_of(caps, q)) + 2.0 * slacks[q]
-                };
+                let bound64 = phase1_bound(&bounds[q], kb, cap_of(caps, q));
                 d.eval_key_batch_f32(q32, block, dim, f32_bound_up(bound64), &mut keys[..n]);
                 for (offset, &key) in keys[..n].iter().enumerate() {
                     if (key as f64) <= bound64 {
@@ -1025,83 +983,100 @@ impl<'a> MultiQueryScan<'a> {
         let mut merged: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
         for thread_entries in per_thread {
             for (kb, entries) in merged.iter_mut().zip(thread_entries) {
-                for (key, index) in entries {
-                    if key > kb.threshold() {
-                        break; // sorted: the rest of this thread can't enter
-                    }
-                    kb.push(index, key);
-                }
+                fold_sorted(kb, entries);
             }
         }
         merged
     }
 
-    /// Parallel phase-1 driver for the f32 paths: fan contiguous row
-    /// chunks out to worker threads, each collecting per-query candidate
-    /// lists against its own (chunk-local, hence looser — still a
-    /// superset) inflated bounds and filtering them against its final
-    /// chunk-local thresholds, then concatenate per query in chunk
-    /// order. The exact rescore runs after, so chunk boundaries and
-    /// thread count cannot change the final answer.
-    fn parallel_candidates(
+    /// Phase-1 driver for the f32 paths over the whole collection: one
+    /// chunk in Batched mode, contiguous row chunks fanned out over
+    /// worker threads in Parallel mode. Returns one f32 k-best and one
+    /// `(index, key32)` candidate pool per query; worker k-bests fold
+    /// into one by ascending `(key, index)`, so the merged threshold is
+    /// the k-th smallest f32 key of the whole collection whatever the
+    /// chunking, and [`filter_candidates`] then keeps exactly the rows
+    /// under the final admission bound — the pool handed to the rescore
+    /// does not depend on the thread count. (Every worker admitted
+    /// against its chunk-local, hence looser, bounds, so no row under
+    /// the final bound is missing from the concatenated pools.)
+    fn phase1_candidates(
         &self,
         ks: &[usize],
-        slacks: &[f64],
-        caps: Option<&[f64]>,
+        mode: ScanMode,
         scan_chunk: &F32ChunkScan<'_>,
-    ) -> Vec<Vec<u32>> {
+    ) -> (Vec<KBest>, Vec<Vec<(u32, f32)>>) {
         let len = self.coll.len();
         let nq = ks.len();
-        let threads = scan_threads(self.thread_budget, len.div_ceil(BLOCK_ROWS));
+        let threads = match mode {
+            ScanMode::Batched => 1,
+            ScanMode::Parallel => scan_threads(self.thread_budget, len.div_ceil(BLOCK_ROWS)),
+            _ => unreachable!("f32 path only runs in kernel modes"),
+        };
+        let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
+        let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
         if threads == 1 {
-            let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-            let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
             scan_chunk(0..len, &mut kbs, &mut cands);
-            return filter_candidates(&kbs, slacks, cands, caps, self.stats);
+            return (kbs, cands);
         }
         let chunk = len.div_ceil(threads);
-        let mut merged: Vec<Vec<u32>> = vec![Vec::new(); nq];
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let lo = t * chunk;
                     let hi = ((t + 1) * chunk).min(len);
                     scope.spawn(move || {
-                        let mut kbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
-                        let mut cands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
-                        scan_chunk(lo..hi, &mut kbs, &mut cands);
-                        filter_candidates(&kbs, slacks, cands, caps, self.stats)
+                        let mut wkbs: Vec<KBest> = ks.iter().map(|&k| KBest::new(k)).collect();
+                        let mut wcands: Vec<Vec<(u32, f32)>> = vec![Vec::new(); nq];
+                        scan_chunk(lo..hi, &mut wkbs, &mut wcands);
+                        let entries: Vec<Vec<(f64, u32)>> =
+                            wkbs.into_iter().map(KBest::into_sorted_entries).collect();
+                        (entries, wcands)
                     })
                 })
                 .collect();
             for h in handles {
                 // Chunks are disjoint and joined in spawn order, so the
                 // concatenation stays sorted by index per query.
-                for (m, c) in merged
+                let (entries, wcands) = h.join().expect("multi-scan worker panicked");
+                for ((kb, cand), (thread_entries, thread_cands)) in kbs
                     .iter_mut()
-                    .zip(h.join().expect("multi-scan worker panicked"))
+                    .zip(cands.iter_mut())
+                    .zip(entries.into_iter().zip(wcands))
                 {
-                    m.extend(c);
+                    cand.extend(thread_cands);
+                    fold_sorted(kb, thread_entries);
                 }
             }
         });
-        merged
+        (kbs, cands)
     }
 }
 
-/// Final candidate filter between the phases: re-apply the containment
-/// test `key32 ≤ threshold + 2·slack` with each query's **final** phase-1
-/// threshold. During the pass, candidates are admitted against whatever
-/// (looser) threshold was current — the first block alone admits every
-/// row — so most of the pool is stale by the end. The final threshold is
-/// the k-th smallest f32 key pushed, which never undershoots the true
-/// k-th smallest f32 key, so the argument on
+/// Fold ascending `(key, index)` entries into `kb`, stopping at the
+/// first that can no longer enter.
+pub(crate) fn fold_sorted(kb: &mut KBest, entries: Vec<(f64, u32)>) {
+    for (key, index) in entries {
+        if key > kb.threshold() {
+            break; // sorted: the rest can't enter
+        }
+        kb.push(index, key);
+    }
+}
+
+/// Final candidate filter between the phases: re-apply the admission
+/// test `key32 ≤ admit(min(ceiling(T), cap))` with each query's
+/// **final** phase-1 threshold `T`. During the pass, candidates are
+/// admitted against whatever (looser) threshold was current — the first
+/// block alone admits every row — so most of the pool is stale by the
+/// end. The final threshold is the k-th smallest f32 key pushed, which
+/// never undershoots the true k-th smallest f32 key, so the argument on
 /// [`MultiQueryScan::scan_range_shared_f32`] applies verbatim and the
 /// filtered pool still contains the true f64 top-k — while the rescore
 /// now gathers ~k scattered rows instead of hundreds.
 pub(crate) fn filter_candidates(
     kbs: &[KBest],
-    slacks: &[f64],
+    bounds: &[F32KeyBound],
     cands: Vec<Vec<(u32, f32)>>,
     caps: Option<&[f64]>,
     stats: Option<&ScanStatsSink>,
@@ -1109,15 +1084,15 @@ pub(crate) fn filter_candidates(
     let mut tally = ScanStats::default();
     let kept: Vec<Vec<u32>> = kbs
         .iter()
-        .zip(slacks.iter())
+        .zip(bounds.iter())
         .zip(cands)
         .enumerate()
-        .map(|(q, ((kb, &slack), cand))| {
-            let bound = kb.threshold().min(cap_of(caps, q)) + 2.0 * slack;
+        .map(|(q, ((kb, bound), cand))| {
+            let limit = phase1_bound(bound, kb, cap_of(caps, q));
             let pool = cand.len() as u64;
             let survivors: Vec<u32> = cand
                 .into_iter()
-                .filter(|&(_, key)| (key as f64) <= bound)
+                .filter(|&(_, key)| (key as f64) <= limit)
                 .map(|(i, _)| i)
                 .collect();
             tally.candidates_rescored += survivors.len() as u64;

@@ -23,12 +23,12 @@
 //!   member could never displace a result.
 //! * f32 phase-1 — the running threshold `t` lives in f32-key space,
 //!   while `lb` is exact. `t` never undershoots `τ32` (the true k-th
-//!   f32 key), and every row obeys `|key32 − key64| ≤ Δ`
-//!   (`Δ` = `f32_key_slack`), so `τ64 ≤ τ32 + Δ ≤ t + Δ`: skip iff
-//!   `lb > min(t + Δ, cap_q)`. Skipped members have
-//!   `key64 ≥ lb > τ64`, hence are not in the true top-k, and the
-//!   surviving candidate pool keeps the same superset guarantee the
-//!   flat f32 pass proves.
+//!   f32 key), and the k rows realizing `τ32` each have
+//!   `key64 ≤ ceiling(τ32)` (the class's [`F32KeyBound::ceiling`]), so
+//!   `τ64 ≤ ceiling(t)`: skip iff `lb > min(ceiling(t), cap_q)`. Skipped
+//!   members have `key64 ≥ lb > τ64`, hence are not in the true top-k,
+//!   and the surviving candidate pool keeps the same superset guarantee
+//!   the flat f32 pass proves.
 //! * Queries whose class reports no sound bound (`None`) never prune
 //!   anything — they force the flat pass over every partition, per
 //!   class and explicitly. `k = 0` queries need nothing and always
@@ -42,14 +42,14 @@
 //! (`crates/vecdb/tests/partitioned.rs`) pins all of this against the
 //! flat scans.
 
-use super::multi::{cap_of, filter_candidates, flatten, flatten_f32, KeyedResults};
+use super::multi::{cap_of, filter_candidates, flatten, flatten_f32, fold_sorted, KeyedResults};
 use super::stats::{ScanStats, ScanStatsSink};
 use super::{
     finish_entries, rescore_f64_keyed, scan_threads, KBest, MultiQueryScan, Neighbor, Precision,
     ScanMode, BLOCK_ROWS, PARALLEL_CUTOFF,
 };
 use crate::collection::PartitionedCollection;
-use crate::distance::{Distance, WeightedEuclidean};
+use crate::distance::{Distance, F32KeyBound, WeightedEuclidean};
 
 /// Chunk scanner of the f64 merge path: scan `rows`, folding hits into
 /// the running k-bests under the optional per-query caps.
@@ -236,17 +236,19 @@ impl<'a> PartitionedScan<'a> {
     }
 
     /// f32-phase-1 variant: the running threshold is in f32-key space,
-    /// so the sound comparison is `lb > min(t + Δ, cap)` (module docs).
+    /// so the sound comparison is `lb > min(ceiling(t), cap)` (module
+    /// docs).
     fn all_prune_f32(
         lbs_p: &[Option<f64>],
         ks: &[usize],
         kbs: &[KBest],
-        slacks: &[f64],
+        bounds: &[F32KeyBound],
         caps: Option<&[f64]>,
     ) -> bool {
         lbs_p.iter().enumerate().all(|(q, lb)| {
             ks[q] == 0
-                || lb.is_some_and(|l| l > (kbs[q].threshold() + slacks[q]).min(cap_of(caps, q)))
+                || lb
+                    .is_some_and(|l| l > bounds[q].ceiling(kbs[q].threshold()).min(cap_of(caps, q)))
         })
     }
 
@@ -356,18 +358,18 @@ impl<'a> PartitionedScan<'a> {
         let lbs = self.partition_lower_bounds(queries, &dists);
         let order = self.visit_order(&lbs, queries.len());
         let inner = self.inner_scan();
-        if let Some(slack) = inner.f32_slack(dist, queries) {
+        if let Some(bound) = inner.f32_key_bound(dist, queries) {
             let flat32 = flatten_f32(queries);
-            let slacks = vec![slack; ks.len()];
+            let bounds = vec![bound; ks.len()];
             let cands = self.pruned_candidates(
                 &lbs,
                 &order,
                 ks,
-                &slacks,
+                &bounds,
                 caps,
                 mode,
                 &|range, kbs, cands, caps| {
-                    inner.scan_range_shared_f32(&flat32, dist, slack, ks, range, kbs, cands, caps)
+                    inner.scan_range_shared_f32(&flat32, dist, bound, range, kbs, cands, caps)
                 },
             );
             return self.rescore(queries, &dists, ks, &cands);
@@ -416,8 +418,11 @@ impl<'a> PartitionedScan<'a> {
         let order = self.visit_order(&lbs, queries.len());
         let inner = self.inner_scan();
         // All-or-nothing f32 engagement, exactly like the flat scan.
-        let slacks: Option<Vec<f64>> = dists.iter().map(|d| inner.f32_slack(*d, queries)).collect();
-        if let Some(slacks) = slacks {
+        let bounds: Option<Vec<F32KeyBound>> = dists
+            .iter()
+            .map(|d| inner.f32_key_bound(*d, queries))
+            .collect();
+        if let Some(bounds) = bounds {
             let q32s: Vec<Vec<f32>> = queries
                 .iter()
                 .map(|q| q.iter().map(|&v| v as f32).collect())
@@ -426,13 +431,11 @@ impl<'a> PartitionedScan<'a> {
                 &lbs,
                 &order,
                 ks,
-                &slacks,
+                &bounds,
                 caps,
                 mode,
                 &|range, kbs, cands, caps| {
-                    inner.scan_range_per_query_f32(
-                        &q32s, dists, &slacks, ks, range, kbs, cands, caps,
-                    )
+                    inner.scan_range_per_query_f32(&q32s, dists, &bounds, range, kbs, cands, caps)
                 },
             );
             return self.rescore(queries, dists, ks, &cands);
@@ -582,12 +585,7 @@ impl<'a> PartitionedScan<'a> {
         });
         for thread_entries in per_thread {
             for (kb, entries) in kbs.iter_mut().zip(thread_entries) {
-                for (key, index) in entries {
-                    if key > kb.threshold() {
-                        break; // sorted: the rest of this thread can't enter
-                    }
-                    kb.push(index, key);
-                }
+                fold_sorted(kb, entries);
             }
         }
     }
@@ -603,7 +601,7 @@ impl<'a> PartitionedScan<'a> {
         lbs: &[Option<f64>],
         order: &[usize],
         ks: &[usize],
-        slacks: &[f64],
+        bounds: &[F32KeyBound],
         caps: Option<&[f64]>,
         mode: ScanMode,
         scan_chunk: &CandidateChunk<'_>,
@@ -617,24 +615,24 @@ impl<'a> PartitionedScan<'a> {
             if rows.is_empty() {
                 continue;
             }
-            if Self::all_prune_f32(&lbs[p * nq..(p + 1) * nq], ks, &kbs, slacks, caps) {
+            if Self::all_prune_f32(&lbs[p * nq..(p + 1) * nq], ks, &kbs, bounds, caps) {
                 tally.partitions_pruned += 1;
                 continue;
             }
             if mode == ScanMode::Parallel {
                 self.parallel_partition_candidates(
-                    ks, slacks, caps, &mut kbs, &mut cands, rows, scan_chunk,
+                    ks, bounds, caps, &mut kbs, &mut cands, rows, scan_chunk,
                 );
             } else {
                 scan_chunk(rows, &mut kbs, &mut cands, caps);
             }
         }
         self.record_stats(tally);
-        filter_candidates(&kbs, slacks, cands, caps, self.stats)
+        filter_candidates(&kbs, bounds, cands, caps, self.stats)
     }
 
     /// Parallel fan-out for one surviving partition of the f32 phase-1.
-    /// Workers see the snapshot cap `min(t + Δ, cap)` (sound on the
+    /// Workers see the snapshot cap `min(ceiling(t), cap)` (sound on the
     /// true k-th f64 key — module docs), collect chunk-local candidate
     /// pools, and merge back in spawn order: pools concatenate (the
     /// rescore is order-independent) and worker k-best entries fold
@@ -643,7 +641,7 @@ impl<'a> PartitionedScan<'a> {
     fn parallel_partition_candidates(
         &self,
         ks: &[usize],
-        slacks: &[f64],
+        bounds: &[F32KeyBound],
         caps: Option<&[f64]>,
         kbs: &mut [KBest],
         cands: &mut [Vec<(u32, f32)>],
@@ -660,7 +658,7 @@ impl<'a> PartitionedScan<'a> {
         let snapshot: Vec<f64> = kbs
             .iter()
             .enumerate()
-            .map(|(q, kb)| (kb.threshold() + slacks[q]).min(cap_of(caps, q)))
+            .map(|(q, kb)| bounds[q].ceiling(kb.threshold()).min(cap_of(caps, q)))
             .collect();
         let chunk = len.div_ceil(threads);
         std::thread::scope(|scope| {
@@ -687,12 +685,7 @@ impl<'a> PartitionedScan<'a> {
                     .zip(entries.into_iter().zip(wcands))
                 {
                     cand.extend(thread_cands);
-                    for (key, index) in thread_entries {
-                        if key > kb.threshold() {
-                            break;
-                        }
-                        kb.push(index, key);
-                    }
+                    fold_sorted(kb, thread_entries);
                 }
             }
         });

@@ -32,17 +32,19 @@
 //! — the dominant cost on a bandwidth-bound host) and rescore the
 //! surviving candidates in f64, returning results identical to the pure
 //! f64 scan. This covers `range` queries too: phase 1 filters against
-//! the radius bound inflated by the class's rounding slack, phase 2
+//! the radius bound mapped through the class's rounding bound
+//! (`admit(radius_key)`), phase 2
 //! re-applies the exact bound, so membership on the radius boundary is
 //! decided by the same f64 kernel keys as the single-phase scan. Scalar
 //! mode deliberately ignores the knob — it *is* the reference the other
 //! paths are pinned against.
 
 use super::{
-    f32_bound_up, KBest, KnnEngine, Neighbor, Precision, SearchStats, BLOCK_ROWS, PARALLEL_CUTOFF,
+    f32_bound_up, KBest, KnnEngine, Neighbor, Precision, ScanStatsSink, SearchStats, BLOCK_ROWS,
+    PARALLEL_CUTOFF,
 };
 use crate::collection::Collection;
-use crate::distance::Distance;
+use crate::distance::{Distance, F32KeyBound};
 
 /// Execution strategy for [`LinearScan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,6 +67,7 @@ pub struct LinearScan<'a> {
     mode: ScanMode,
     precision: Precision,
     thread_budget: Option<usize>,
+    stats: Option<&'a ScanStatsSink>,
 }
 
 impl<'a> LinearScan<'a> {
@@ -75,6 +78,7 @@ impl<'a> LinearScan<'a> {
             mode: ScanMode::Auto,
             precision: Precision::F64,
             thread_budget: None,
+            stats: None,
         }
     }
 
@@ -85,6 +89,7 @@ impl<'a> LinearScan<'a> {
             mode,
             precision: Precision::F64,
             thread_budget: None,
+            stats: None,
         }
     }
 
@@ -104,6 +109,15 @@ impl<'a> LinearScan<'a> {
     /// parallelism does not oversubscribe the host.
     pub fn with_thread_budget(mut self, threads: usize) -> Self {
         self.thread_budget = Some(threads.max(1));
+        self
+    }
+
+    /// Flush the work counters of the k-NN passes this scan runs
+    /// through [`MultiQueryScan`](super::MultiQueryScan) — every
+    /// Parallel pass and every `F32Rescore` pass — into `sink` (see
+    /// [`ScanStats`](super::ScanStats)). Never changes an answer.
+    pub fn with_scan_stats(mut self, sink: &'a ScanStatsSink) -> Self {
+        self.stats = Some(sink);
         self
     }
 
@@ -194,48 +208,50 @@ impl<'a> LinearScan<'a> {
         if let Some(budget) = self.thread_budget {
             multi = multi.with_thread_budget(budget);
         }
+        if let Some(sink) = self.stats {
+            multi = multi.with_scan_stats(sink);
+        }
         multi.knn_multi(&[query], k, dist).pop().unwrap_or_default()
     }
 
-    /// The key-space rounding slack of an f32 phase-1 under `dist`, when
+    /// The key-space rounding bound of an f32 phase-1 under `dist`, when
     /// every precondition for a two-phase range scan holds: `F32Rescore`
     /// requested, mirror present, class exposes an f32 kernel with a
-    /// finite bound for this data/query magnitude. (The k-NN paths get
-    /// the same answer from `MultiQueryScan`, which the scan delegates
-    /// to; `range` runs its own single-query pass, so it re-derives it.)
-    fn f32_slack(&self, dist: &dyn Distance, query: &[f64]) -> Option<f64> {
+    /// bound for this data/query magnitude. (The k-NN paths get the same
+    /// answer from `MultiQueryScan`, which the scan delegates to; `range`
+    /// runs its own single-query pass, so it re-derives it.)
+    fn f32_key_bound(&self, dist: &dyn Distance, query: &[f64]) -> Option<F32KeyBound> {
         if self.precision != Precision::F32Rescore {
             return None;
         }
         let m_coll = self.coll.max_abs()?; // None ⇔ no mirror
         let m = query.iter().fold(m_coll, |m, &v| m.max(v.abs()));
-        let slack = dist.f32_key_slack(self.coll.dim(), m)?;
-        slack.is_finite().then_some(slack)
+        dist.f32_key_slack(self.coll.dim(), m)
     }
 
     /// Two-phase range scan: phase 1 streams the f32 mirror collecting
-    /// every row whose f32 key lands under the radius bound inflated by
-    /// the class's rounding slack, phase 2 gather-rescores the candidates
-    /// with the exact f64 batch kernel and applies the *uninflated* key
-    /// bound — results (membership, indices, distances) identical to the
-    /// single-phase f64 pass.
+    /// every row whose f32 key lands under `admit(B)` for the radius key
+    /// `B`, phase 2 gather-rescores the candidates with the exact f64
+    /// batch kernel and applies `B` itself — results (membership,
+    /// indices, distances) identical to the single-phase f64 pass.
     ///
-    /// Why one `slack` suffices (vs the k-NN paths' `2·slack`): the range
-    /// bound `B = key_of_dist(radius)` is fixed, not a running threshold.
-    /// Every row obeys `|key32 − key64| ≤ Δ`, so a true member
-    /// (`key64 ≤ B`) always has `key32 ≤ B + Δ`; its monotone f32 prefix
-    /// sums never exceed its final `key32`, so the kernel cannot abandon
-    /// it and the filter admits it into the candidate pool.
+    /// Why `admit(B)` suffices (the k-NN paths also need `ceiling`, to
+    /// bound a running f32 threshold): `B = key_of_dist(radius)` is
+    /// fixed and exact. A true member (`key64 ≤ B`) has
+    /// `key32 ≤ key64 + Δ(key64) ≤ admit(B)`, `admit` being increasing;
+    /// its monotone f32 prefix sums never exceed its final `key32`, so
+    /// the kernel cannot abandon it and the filter admits it into the
+    /// candidate pool.
     fn range_f32_rescore(
         &self,
         query: &[f64],
         radius: f64,
         dist: &dyn Distance,
-        slack: f64,
+        key_bound: F32KeyBound,
     ) -> Vec<Neighbor> {
         let dim = self.coll.dim();
         let bound = dist.key_of_dist(radius);
-        let inflated = bound + slack;
+        let inflated = key_bound.admit(bound);
         let inflated32 = f32_bound_up(inflated);
         let q32: Vec<f32> = query.iter().map(|&v| v as f32).collect();
 
@@ -372,11 +388,11 @@ impl KnnEngine for LinearScan<'_> {
                     });
                 }
             }
-        } else if let Some(slack) = self.f32_slack(dist, query) {
-            // Two-phase mirror scan: f32 filter under the slack-inflated
-            // radius bound, exact f64 rescore of the candidates (bails
-            // back to the single-phase pass for bulky result sets).
-            return self.range_f32_rescore(query, radius, dist, slack);
+        } else if let Some(key_bound) = self.f32_key_bound(dist, query) {
+            // Two-phase mirror scan: f32 filter under `admit(radius
+            // key)`, exact f64 rescore of the candidates (bails back to
+            // the single-phase pass for bulky result sets).
+            return self.range_f32_rescore(query, radius, dist, key_bound);
         } else {
             return self.range_f64_keyspace(query, radius, dist);
         }
